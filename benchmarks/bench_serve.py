@@ -1,14 +1,17 @@
 """Serving-path benchmark: daemon throughput vs workers, reload latency.
 
-Pushes one synthetic capture through the long-lived scan daemon at
-several worker counts and measures aggregate scan throughput, then
+Pushes one synthetic capture through the long-lived fastpath scan daemon
+(its shipped configuration: batched dispatch, default ``queue_depth``)
+at several worker counts and measures aggregate scan throughput beside
+the ceiling — the in-process ``FastPathMFA.run_batch`` over the same
+reassembled flows, in the batches ``serve_scan`` hands a worker — then
 times a live one-rule reload against a warm per-shard cache (the
 incremental path) and against a cold recompile.
 
-Fidelity is a hard gate, not a statistic: every daemon run's canonical
-match stream must be byte-identical to a single-process
-``resilient_scan`` of the same capture, and the cached reload must
-rebuild exactly one shard.  Emits ``BENCH_serve.json``.
+Fidelity is a hard gate, not a statistic: every daemon run's (and the
+ceiling's) canonical match stream must be byte-identical to a
+single-process ``resilient_scan`` of the same capture, and the cached
+reload must rebuild exactly one shard.  Emits ``BENCH_serve.json``.
 
 Run directly (CI does)::
 
@@ -47,6 +50,55 @@ def build_capture(set_name: str, n_flows: int, flow_bytes: int) -> bytes:
     return buffer.getvalue()
 
 
+# Each throughput row reports its fastest pass: a quick capture scans in
+# tens of milliseconds, where one pass is mostly scheduling noise.
+PASSES = 3
+
+
+def throughput_row(path, workers, seconds, scanned, alerts, restarts):
+    return {
+        "path": path,
+        "workers": workers,
+        "seconds": round(seconds, 4),
+        "bytes_scanned": scanned,
+        "throughput_mbps": round(scanned / seconds / 1e6, 2),
+        "alerts": alerts,
+        "restarts": restarts,
+    }
+
+
+def measure_inprocess(rules, blob, reference, state_budget):
+    """The serving ceiling: ``run_batch`` in process on the same flows."""
+    from repro.core import compile_mfa
+    from repro.fastpath import build_fastpath
+    from repro.serve import ServeConfig, canonical_stream
+    from repro.traffic.flows import FlowAssembler, FlowMatch
+    from repro.traffic.pcap import read_pcap
+
+    engine = build_fastpath(compile_mfa(rules, state_budget=state_budget))
+    assembler = FlowAssembler()
+    assembler.add_all(read_pcap(BytesIO(blob), errors="skip"))
+    flows = [flow for flow in assembler.flows() if flow.payload]
+    step = ServeConfig().queue_depth // 2  # serve_scan's batch size
+    batches = [flows[start : start + step] for start in range(0, len(flows), step)]
+    walls = []
+    diffs = 0
+    for _ in range(PASSES):
+        alerts = []
+        seconds = 0.0
+        for batch in batches:
+            tick = time.perf_counter()
+            results = engine.run_batch([flow.payload for flow in batch])
+            seconds += time.perf_counter() - tick
+            for flow, events in zip(batch, results):
+                alerts.extend(FlowMatch(flow.key, event) for event in events)
+        walls.append(seconds)
+        diffs += canonical_stream(alerts) != reference
+    scanned = sum(len(flow.payload) for flow in flows)
+    row = throughput_row("inprocess-run_batch", 0, min(walls), scanned, len(alerts), 0)
+    return row, diffs
+
+
 def measure_workers(rules, blob, reference, worker_counts, state_budget):
     """Throughput of the same capture at each worker count (+ stream gate)."""
     from repro.serve import ScanDaemon, ServeConfig, canonical_stream, serve_scan
@@ -54,24 +106,26 @@ def measure_workers(rules, blob, reference, worker_counts, state_budget):
     rows = []
     diffs = 0
     for workers in worker_counts:
-        config = ServeConfig(workers=workers, queue_depth=max(16, workers * 8))
+        config = ServeConfig(workers=workers, engine="fastpath")
         daemon = ScanDaemon(rules, config=config, state_budget=state_budget).start()
         try:
-            start = time.perf_counter()
-            alerts, report = serve_scan(daemon, blob)
-            seconds = time.perf_counter() - start
-            scanned = sum(w.bytes_scanned for w in report.workers)
-            if canonical_stream(alerts) != reference:
-                diffs += 1
+            walls = []
+            for _ in range(PASSES):
+                before = len(daemon.alerts)
+                tick = time.perf_counter()
+                alerts, report = serve_scan(daemon, blob)
+                walls.append(time.perf_counter() - tick)
+                diffs += canonical_stream(alerts[before:]) != reference
+            scanned = sum(w.bytes_scanned for w in report.workers) // PASSES
             rows.append(
-                {
-                    "workers": workers,
-                    "seconds": round(seconds, 3),
-                    "bytes_scanned": scanned,
-                    "throughput_mbps": round(scanned / seconds / 1e6, 2),
-                    "alerts": report.n_alerts,
-                    "restarts": report.restarts,
-                }
+                throughput_row(
+                    "serve",
+                    workers,
+                    min(walls),
+                    scanned,
+                    report.n_alerts // PASSES,
+                    report.restarts,
+                )
             )
         finally:
             daemon.stop()
@@ -156,7 +210,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     reference = canonical_stream(ref_alerts)
 
+    ceiling, ceiling_diffs = measure_inprocess(rules, blob, reference, STATE_BUDGET)
     rows, diffs = measure_workers(rules, blob, reference, worker_counts, STATE_BUDGET)
+    rows.append(ceiling)
+    diffs += ceiling_diffs
     reload_stats = measure_reload(rules, STATE_BUDGET, args.shards)
 
     doc = {
@@ -175,8 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     out = write_results("BENCH_serve.json", doc, args.out)
 
     sweep = ", ".join(
-        f"{row['workers']}w {row['throughput_mbps']:.1f}MB/s" for row in rows
+        f"{row['workers']}w {row['throughput_mbps']:.1f}MB/s" for row in rows[:-1]
     )
+    sweep += f" (in-process run_batch {ceiling['throughput_mbps']:.1f}MB/s)"
     print(
         f"{set_name}: {sweep}; reload cached "
         f"{reload_stats['cached_seconds']}s ({reload_stats['cached_shards_rebuilt']} "
@@ -184,7 +242,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(reference)} events, {diffs} stream diffs -> {out}"
     )
     if diffs:
-        print("FAIL: daemon match stream diverged from resilient_scan", file=sys.stderr)
+        print(
+            "FAIL: daemon or in-process match stream diverged from resilient_scan",
+            file=sys.stderr,
+        )
         return 1
     if reload_stats["cached_shards_rebuilt"] != 1:
         print(

@@ -48,6 +48,7 @@ __all__ = [
     "partition_patterns",
     "compile_shards",
     "compile_mfa_sharded",
+    "scan_batch",
 ]
 
 
@@ -89,6 +90,15 @@ def partition_patterns(
         out.append(list(patterns[start : start + size]))
         start += size
     return out
+
+
+def scan_batch(engine: object, payloads: Sequence[bytes]) -> list[list[MatchEvent]]:
+    """Each payload's events from one engine: a single lockstep
+    ``run_batch`` where the engine has one, per-flow ``run`` otherwise."""
+    run_batch = getattr(engine, "run_batch", None)
+    if run_batch is not None:
+        return run_batch(payloads)
+    return [engine.run(payload) for payload in payloads]  # type: ignore[attr-defined]
 
 
 class ShardedContext:
@@ -139,6 +149,17 @@ class ShardedMFA:
         for shard in self.shards:
             out.extend(shard.run(data))  # type: ignore[attr-defined]
         out.sort()
+        return out
+
+    def run_batch(self, payloads: Sequence[bytes]) -> list[list[MatchEvent]]:
+        """:meth:`run` for N payloads, each shard scanning all of them in
+        one :func:`scan_batch` call (lockstep for fastpath shards)."""
+        out: list[list[MatchEvent]] = [[] for _ in payloads]
+        for shard in self.shards:
+            for events, found in zip(out, scan_batch(shard, payloads)):
+                events.extend(found)
+        for events in out:
+            events.sort()
         return out
 
     def matches(self, data: bytes) -> bool:

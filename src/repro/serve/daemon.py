@@ -6,15 +6,16 @@
   :class:`~repro.fastpath.cache.ArtifactCache`) and lives in a shared
   memory :class:`~repro.serve.shm.ArtifactSegment` that every worker
   maps copy-free;
-* N supervised worker processes scan whole reassembled flows; the
-  supervisor detects death (crash), hangs (heartbeat timeout — the
-  poison-loop case) and restarts the slot with exponential backoff,
-  re-dispatching the dead worker's undone flows and quarantining a flow
-  that keeps killing workers;
+* N supervised worker processes scan batches of whole reassembled
+  flows, one lockstep ``run_batch`` per batch; the supervisor detects
+  death (crash), hangs (heartbeat timeout — the poison-loop case) and
+  restarts the slot with exponential backoff, re-dispatching the dead
+  worker's undone flows, splitting a batch that killed a worker into
+  one-flow batches, and quarantining a flow that keeps killing workers;
 * ingress is bounded: each worker slot accepts at most ``queue_depth``
   outstanding flows, and a full daemon either blocks the submitter
-  (backpressure, the default) or sheds the flow with an explicit counter
-  — there is no unbounded queue and no silent drop anywhere;
+  (backpressure, the default) or sheds the flows with an explicit
+  counter — there is no unbounded queue and no silent drop anywhere;
 * :meth:`reload` recompiles only the shards whose rules changed (cache
   hits for the rest), publishes a new segment generation, and swaps it
   in-band so every in-flight flow drains on the generation it started
@@ -23,10 +24,10 @@
   and :meth:`stop` is the graceful-shutdown contract (drain, reap,
   unlink, final report).
 
-Match delivery is *exactly-once* per flow: workers report whole-flow
-results atomically, the supervisor's ledger re-dispatches anything
-unreported after a death, and a late duplicate result (sent in the race
-between a report and a crash) is discarded by flow id.
+Match delivery is *exactly-once* per flow: workers report whole-batch
+results atomically, the supervisor's per-flow ledger re-dispatches
+anything unreported after a death, and a late duplicate result (sent in
+the race between a report and a crash) is discarded by flow id.
 """
 
 from __future__ import annotations
@@ -62,15 +63,19 @@ _TICK_SECONDS = 0.05
 class ServeConfig:
     """Service-side knobs (compile-side knobs ride on the constructor).
 
-    ``queue_depth`` bounds outstanding flows per worker; ``shed=True``
-    turns backpressure blocking into counted load-shedding.
-    ``hang_timeout`` is how stale a busy worker's heartbeat may go before
-    the supervisor declares a hang — it must exceed the worst honest
-    single-flow scan time.  ``max_flow_kills`` is the quarantine
-    threshold: a flow that has killed that many workers is abandoned
-    (counted and attributed) instead of retried forever.  ``faults``
-    arms the deterministic in-payload fault hooks of
-    :mod:`repro.serve.worker` (tests and soak only).
+    ``queue_depth`` bounds outstanding flows per worker, and with them
+    the in-flight payload memory (``queue_depth`` × flow size per
+    worker); :func:`serve_scan` hands flows over in batches of half of
+    it, so one batch scans while the next waits.  ``shed=True`` turns
+    backpressure blocking into counted load-shedding.  ``hang_timeout``
+    is how stale a busy worker's heartbeat may go before the supervisor
+    declares a hang — the heartbeat ticks between batches, so it must
+    exceed the worst honest single-*batch* scan time.
+    ``max_flow_kills`` is the quarantine threshold: a flow that has
+    killed that many workers on its own is abandoned (counted and
+    attributed) instead of retried forever.  ``faults`` arms the
+    deterministic in-payload fault hooks of :mod:`repro.serve.worker`
+    (tests and soak only).
     """
 
     workers: int = 2
@@ -83,7 +88,9 @@ class ServeConfig:
     # zero-copy and decode per-worker (flatten or chain-walk per
     # REPRO_DECODE), so N workers share one small artifact segment.
     compress: int = 0
-    queue_depth: int = 8
+    # Two 64-flow batches (FastPathMFA.batch_hint): one scanning, one
+    # queued behind it.
+    queue_depth: int = 128
     shed: bool = False
     hang_timeout: float = 30.0
     max_flow_kills: int = 2
@@ -129,8 +136,9 @@ class _Slot:
         self.worker_id = worker_id
         self.process = None
         self.queue = None
-        # flow_id -> None, in dispatch order; the re-dispatch ledger.
-        self.assigned: "OrderedDict[int, None]" = OrderedDict()
+        # flow_id -> first flow_id of its batch, in dispatch order; the
+        # re-dispatch ledger (a batch's flows are contiguous in it).
+        self.assigned: "OrderedDict[int, int]" = OrderedDict()
         self.generation = 0
         self.ready = False
         self.respawn_at: float | None = None
@@ -242,10 +250,14 @@ class ScanDaemon:
         result_recv, result_send = self._ctx.Pipe(duplex=False)
         slot.result_recv = result_recv
         # Re-dispatch the ledger: everything assigned to this slot that
-        # never reported lands in the fresh queue, oldest first.
-        for flow_id in slot.assigned:
+        # never reported lands in the fresh queue, oldest first, in the
+        # batches the ledger records.
+        batches: dict[int, list[tuple[int, FiveTuple, bytes]]] = {}
+        for flow_id, head in slot.assigned.items():
             _slot_id, key, payload = self._inflight[flow_id]
-            slot.queue.put(("flow", flow_id, key, payload))
+            batches.setdefault(head, []).append((flow_id, key, payload))
+        for batch in batches.values():
+            slot.queue.put(("flows", batch))
         process = self._ctx.Process(
             target=_worker_entry,
             args=(
@@ -331,40 +343,55 @@ class ScanDaemon:
     def submit(self, key: FiveTuple, payload: bytes, timeout: float | None = None) -> bool:
         """Queue one reassembled flow; returns False when it was shed.
 
-        With ``shed=False`` (default) a full daemon *blocks* the caller —
-        explicit backpressure — until a slot frees or ``timeout``
-        expires (then the flow is shed and counted).  With ``shed=True``
-        a full daemon sheds immediately.
+        A one-flow :meth:`submit_batch`.
+        """
+        return self.submit_batch([(key, payload)], timeout) == 1
+
+    def submit_batch(
+        self,
+        flows: Sequence[tuple[FiveTuple, bytes]],
+        timeout: float | None = None,
+    ) -> int:
+        """Queue ``(key, payload)`` flows; returns how many were not shed.
+
+        Each message to a worker is one batch: as many of the remaining
+        flows as the least-loaded slot has room for, scanned there with
+        one ``run_batch``.  With ``shed=False`` (default) a full daemon
+        *blocks* the caller — explicit backpressure — until a slot frees
+        or ``timeout`` expires (then the remaining flows are shed and
+        counted).  With ``shed=True`` a full daemon sheds them
+        immediately.  Empty payloads are accepted and never queued.
         """
         if not self._running:
             raise RuntimeError("daemon is not running")
-        if not payload:
-            return True
+        pending = [(key, payload) for key, payload in flows if payload]
         deadline = None if timeout is None else time.time() + timeout
         with self._cond:
-            while True:
+            while pending:
                 slot = self._pick_slot_locked()
-                if slot is not None:
-                    break
-                if self.config.shed:
-                    self._shed_locked(key)
-                    return False
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.time()
-                    if remaining <= 0:
-                        self._shed_locked(key)
-                        return False
-                self._cond.wait(0.2 if remaining is None else min(remaining, 0.2))
-                if not self._running:
-                    raise RuntimeError("daemon stopped while submitting")
-            flow_id = self._next_flow_id
-            self._next_flow_id += 1
-            self._inflight[flow_id] = (slot.worker_id, key, payload)
-            slot.assigned[flow_id] = None
-            self._submitted += 1
-            slot.queue.put(("flow", flow_id, key, payload))
-        return True
+                if slot is None:
+                    remaining = None if deadline is None else deadline - time.time()
+                    if self.config.shed or (remaining is not None and remaining <= 0):
+                        for key, _payload in pending:
+                            self._shed_locked(key)
+                        return len(flows) - len(pending)
+                    self._cond.wait(0.2 if remaining is None else min(remaining, 0.2))
+                    if not self._running:
+                        raise RuntimeError("daemon stopped while submitting")
+                    continue
+                room = self.config.queue_depth - len(slot.assigned)
+                head = self._next_flow_id
+                batch = []
+                for key, payload in pending[:room]:
+                    flow_id = self._next_flow_id
+                    self._next_flow_id += 1
+                    self._inflight[flow_id] = (slot.worker_id, key, payload)
+                    slot.assigned[flow_id] = head
+                    batch.append((flow_id, key, payload))
+                pending = pending[room:]
+                self._submitted += len(batch)
+                slot.queue.put(("flows", batch))
+        return len(flows)
 
     def _pick_slot_locked(self) -> _Slot | None:
         best = None
@@ -444,8 +471,6 @@ class ScanDaemon:
                 with self._cond:
                     if kind == "done":
                         self._on_done(*message[1:])
-                    elif kind == "poisoned":
-                        self._on_poisoned(*message[1:])
                     elif kind == "ready":
                         self._on_ready(*message[1:])
                     elif kind == "reloaded":
@@ -498,38 +523,36 @@ class ScanDaemon:
     def _on_done(
         self,
         worker_id: int,
-        flow_id: int,
         generation: int,
-        events: list[tuple[int, int]],
-        n_bytes: int,
+        results: list[tuple[int, list[tuple[int, int]] | str, int]],
         seconds: float,
     ) -> None:
-        info = self._finish_flow_locked(flow_id)
-        if info is None:
-            return
-        key, _payload = info
+        """One scanned batch: per flow, its events or its engine error."""
         stats = self._slots[worker_id].stats
-        stats.flows += 1
-        stats.bytes_scanned += n_bytes
-        stats.alerts += len(events)
+        fresh = False
+        for flow_id, result, n_bytes in results:
+            info = self._finish_flow_locked(flow_id)
+            if info is None:
+                continue
+            fresh = True
+            key, _payload = info
+            self.report.n_flows += 1
+            if isinstance(result, str):
+                self.report.dispatch.flows_poisoned += 1
+                self.report.dispatch.errors.append((key, f"engine error: {result}"))
+                stats.last_error = result
+                continue
+            stats.flows += 1
+            stats.bytes_scanned += n_bytes
+            stats.alerts += len(result)
+            for pos, match_id in result:
+                self.alerts.append(FlowMatch(key, MatchEvent(pos, match_id)))
+        if not fresh:
+            return  # a duplicate report after a crash re-dispatch
+        stats.batches += 1
         stats.busy_seconds += seconds
         stats.generation = max(stats.generation, generation)
-        self.report.n_flows += 1
-        for pos, match_id in events:
-            self.alerts.append(FlowMatch(key, MatchEvent(pos, match_id)))
         self.report.n_alerts = len(self.alerts)
-
-    def _on_poisoned(
-        self, worker_id: int, flow_id: int, generation: int, error: str
-    ) -> None:
-        info = self._finish_flow_locked(flow_id)
-        if info is None:
-            return
-        key, _payload = info
-        self.report.n_flows += 1
-        self.report.dispatch.flows_poisoned += 1
-        self.report.dispatch.errors.append((key, f"engine error: {error}"))
-        self._slots[worker_id].stats.last_error = error
 
     # -- supervision -----------------------------------------------------------
 
@@ -570,7 +593,14 @@ class ScanDaemon:
             self.report.internal_errors.append(f"{where}: {type(exc).__name__}: {exc}")
 
     def _on_death_locked(self, slot: _Slot, hang: bool) -> None:
-        """Account a dead worker, blame its active flow, schedule respawn."""
+        """Account a dead worker, blame its active batch, schedule respawn.
+
+        A one-flow batch is its flow: the death counts against it, and
+        ``max_flow_kills`` deaths quarantine it.  A multi-flow batch
+        cannot pin the culprit, so it counts no kill; it is split
+        instead, and its flows re-dispatch as one-flow batches — the
+        next death lands on the poison flow alone.
+        """
         now = time.time()
         exitcode = slot.process.exitcode if slot.process is not None else None
         slot.process = None
@@ -592,7 +622,11 @@ class ScanDaemon:
             slot.stats.last_error = f"worker died (exit {exitcode})"
         active = int(self._active_flow[slot.worker_id])
         self._active_flow[slot.worker_id] = -1
-        if active >= 0 and active in self._inflight:
+        batch = [flow_id for flow_id, head in slot.assigned.items() if head == active]
+        if len(batch) > 1:
+            for flow_id in batch:
+                slot.assigned[flow_id] = flow_id
+        elif batch:
             kills = self._kill_counts.get(active, 0) + 1
             self._kill_counts[active] = kills
             if kills >= self.config.max_flow_kills:
@@ -746,16 +780,25 @@ def serve_scan(
     :func:`repro.robust.pipeline.resilient_scan`).
 
     Ingest is identical to the batch path — tolerant pcap decode, bounded
-    reassembly with scan-at-eviction — but every reassembled flow is
-    dispatched to the worker pool instead of scanned inline.  Returns the
-    daemon's accumulated alerts plus its :class:`ServeReport` (which
-    doubles as the batch :class:`~repro.robust.report.ScanReport`).
+    reassembly with scan-at-eviction — but reassembled flows are
+    dispatched to the worker pool, in batches of ``queue_depth // 2``,
+    instead of scanned inline.  Returns the daemon's accumulated alerts
+    plus its :class:`ServeReport` (which doubles as the batch
+    :class:`~repro.robust.report.ScanReport`).
     """
     report = daemon.report
+    batch_size = max(1, daemon.config.queue_depth // 2)
+    pending: list[tuple[FiveTuple, bytes]] = []
+
+    def flush() -> None:
+        daemon.submit_batch(pending)
+        pending.clear()
 
     def submit_flow(flow: Flow) -> None:
         if flow.payload:
-            daemon.submit(flow.key, flow.payload)
+            pending.append((flow.key, flow.payload))
+            if len(pending) >= batch_size:
+                flush()
 
     if isinstance(capture, (str, PathLike)):
         with open(capture, "rb") as stream:
@@ -779,5 +822,6 @@ def serve_scan(
         report.assembler.bytes_dropped += assembler.stats.bytes_dropped
     for flow in assembler.flows():
         submit_flow(flow)
+    flush()
     daemon.drain()
     return daemon.alerts, daemon.status()

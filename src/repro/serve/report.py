@@ -26,6 +26,8 @@ class WorkerStats:
     pid: int | None = None
     generation: int = 0
     flows: int = 0
+    # Scanned batches (one run_batch each); busy_seconds accrues per batch.
+    batches: int = 0
     bytes_scanned: int = 0
     alerts: int = 0
     restarts: int = 0
@@ -39,6 +41,13 @@ class WorkerStats:
         if self.busy_seconds <= 0:
             return 0.0
         return self.bytes_scanned / self.busy_seconds
+
+    @property
+    def flows_per_batch(self) -> float:
+        """Mean scanned flows per batch: how much batching the slot saw."""
+        if self.batches <= 0:
+            return 0.0
+        return self.flows / self.batches
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +104,11 @@ class ServeReport(ScanReport):
                 "uptime_seconds": self.uptime_seconds,
                 "internal_errors": list(self.internal_errors),
                 "workers": [
-                    dict(asdict(w), throughput_bps=w.throughput_bps)
+                    dict(
+                        asdict(w),
+                        throughput_bps=w.throughput_bps,
+                        flows_per_batch=w.flows_per_batch,
+                    )
                     for w in self.workers
                 ],
                 "reloads": [asdict(r) for r in self.reloads],
@@ -114,7 +127,8 @@ class ServeReport(ScanReport):
         for w in self.workers:
             mbps = w.throughput_bps / 1e6
             lines.append(
-                f"  worker {w.worker_id}: {w.flows} flows, "
+                f"  worker {w.worker_id}: {w.flows} flows in {w.batches} "
+                f"batch(es) ({w.flows_per_batch:.1f} flows/batch), "
                 f"{w.bytes_scanned} B ({mbps:.1f} MB/s), {w.alerts} alerts, "
                 f"{w.restarts} restart(s), gen {w.generation}"
                 + (f", last error: {w.last_error}" if w.last_error else "")

@@ -5,32 +5,38 @@ segment and builds its engine over zero-copy table views.  The loop is a
 strict message protocol on two queues:
 
 inbound (work queue)
-    ``("flow", flow_id, key, payload)`` — scan one reassembled flow;
+    ``("flows", [(flow_id, key, payload), ...])`` — scan one batch of
+    reassembled flows with a single ``engine.run_batch`` (per-flow
+    ``run`` for engines without one);
     ``("reload", segment_name, generation)`` — attach the new segment and
-    swap engines (flows queued *before* the marker drained on the old
+    swap engines (batches queued *before* the marker drained on the old
     generation, which is what makes reload torn-artifact-free);
     ``("stop",)`` — graceful exit.
 
 outbound (this worker's private result pipe)
     ``("ready", worker_id, generation, load_seconds)``;
-    ``("done", worker_id, flow_id, generation, events, n_bytes, seconds)``;
-    ``("poisoned", worker_id, flow_id, generation, error)``;
+    ``("done", worker_id, generation, [(flow_id, result, n_bytes), ...],
+    seconds)`` — one entry per flow of the batch, where ``result`` is the
+    flow's ``[(pos, match_id), ...]`` events or, for a flow whose scan
+    raised, the error text;
     ``("reloaded", worker_id, generation)``.
 
-Results are *atomic per flow*: a worker reports a flow only after the
-whole payload scanned, so a crash mid-flow loses only messages that were
-never sent — the supervisor re-dispatches from its own ledger and the
-aggregate stream stays exactly-once.
+Results are *atomic per batch*: a worker reports a batch only after every
+payload in it scanned, so a crash mid-batch loses only messages that were
+never sent — the supervisor re-dispatches from its own per-flow ledger
+and the aggregate stream stays exactly-once.  An exception poisons only
+the flow that raised: a failing batch is rescanned flow by flow.
 
-Liveness is a heartbeat timestamp (updated between flows — never inside
+Liveness is a heartbeat timestamp (updated between batches — never inside
 a scan, so a poison-flow infinite loop goes stale and is detected) plus
-an ``active_flow`` slot naming the flow being scanned, which is how the
-supervisor attributes a crash or hang to the flow that caused it.
+an ``active_flow`` slot naming the first flow of the batch being scanned,
+which is how the supervisor attributes a crash or hang to the batch that
+caused it (and, once it has split that batch, to the flow).
 
 Deterministic fault hooks (``faults=True`` in the config, used by the
-robustness tests and the soak driver) interpret a magic payload prefix:
-``CRASH`` SIGKILLs the worker mid-flow, ``HANG`` spins past any
-heartbeat timeout, ``RAISE`` throws inside the scan.  They are the
+robustness tests and the soak driver) interpret a magic payload prefix,
+per flow, inside the batch scan: ``CRASH`` SIGKILLs the worker, ``HANG``
+spins past any heartbeat timeout, ``RAISE`` throws.  They are the
 daemon-level analogue of :mod:`repro.robust.faults` and are inert unless
 explicitly enabled.
 """
@@ -42,6 +48,7 @@ import queue as queue_module
 import signal
 import time
 
+from ..fastcompile.shards import scan_batch
 from .shm import ArtifactSegment
 
 __all__ = ["FAULT_PREFIX", "fault_payload", "worker_main"]
@@ -69,6 +76,27 @@ def _maybe_inject_fault(payload: bytes) -> None:
             time.sleep(0.5)
     if kind == b"RAISE":
         raise RuntimeError("injected fault: poison flow")
+
+
+def _scan_isolated(engine, payloads: list[bytes], faults: bool) -> list:
+    """Per-flow ``[(pos, match_id), ...]`` events, or the error text of a
+    flow whose scan raised.
+
+    The whole batch scans in one lockstep call; if that raises, the batch
+    is rescanned flow by flow, so only the raising flow is poisoned.
+    """
+    try:
+        if faults:
+            for payload in payloads:
+                _maybe_inject_fault(payload)
+        return [
+            [(event.pos, event.match_id) for event in events]
+            for events in scan_batch(engine, payloads)
+        ]
+    except Exception as exc:  # noqa: BLE001 - per-flow isolation
+        if len(payloads) == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+        return [_scan_isolated(engine, [payload], faults)[0] for payload in payloads]
 
 
 def worker_main(
@@ -127,27 +155,11 @@ def worker_main(
             heartbeat[worker_id] = time.time()
             result_conn.send(("reloaded", worker_id, generation))
             continue
-        _, flow_id, _key, payload = item
+        _, batch = item
         heartbeat[worker_id] = time.time()
-        active_flow[worker_id] = flow_id
+        active_flow[worker_id] = batch[0][0]
         tick = time.perf_counter()
-        try:
-            if faults:
-                _maybe_inject_fault(payload)
-            events = engine.run(payload)  # type: ignore[attr-defined]
-        except Exception as exc:  # noqa: BLE001 - per-flow isolation
-            active_flow[worker_id] = -1
-            heartbeat[worker_id] = time.time()
-            result_conn.send(
-                (
-                    "poisoned",
-                    worker_id,
-                    flow_id,
-                    generation,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
+        results = _scan_isolated(engine, [payload for _, _, payload in batch], faults)
         seconds = time.perf_counter() - tick
         active_flow[worker_id] = -1
         heartbeat[worker_id] = time.time()
@@ -155,10 +167,11 @@ def worker_main(
             (
                 "done",
                 worker_id,
-                flow_id,
                 generation,
-                [(event.pos, event.match_id) for event in events],
-                len(payload),
+                [
+                    (flow_id, result, len(payload))
+                    for (flow_id, _key, payload), result in zip(batch, results)
+                ],
                 seconds,
             )
         )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core import compile_mfa
 from repro.fastcompile import ShardedMFA, partition_patterns
+from repro.fastpath import build_fastpath
 from repro.patterns import ruleset
 from repro.regex import parse_many
 from repro.robust import ResilientCompiler
@@ -72,6 +73,17 @@ class TestStreamFidelity:
                 assert got == want
             else:
                 assert sorted(got) == want
+        if shards > 1:
+            # Batched scans equal per-flow runs, over MFA shards (per-flow
+            # fallback) and fastpath shards (lockstep run_batch) alike.
+            fast = ShardedMFA([build_fastpath(shard) for shard in engine.shards])
+            for sharded in (engine, fast):
+                assert sharded.run_batch(PAYLOADS) == [
+                    sharded.run(payload) for payload in PAYLOADS
+                ]
+            assert fast.run_batch(PAYLOADS) == [
+                canonical(single, payload) for payload in PAYLOADS
+            ]
 
     def test_streaming_trio_matches_run(self, single):
         engine = compile_mfa(RULES, shards=4)

@@ -90,6 +90,12 @@ class TestServeScan:
         assert doc["n_workers"] == 2
         assert len(doc["workers"]) == 2
         assert doc["workers"][0]["pid"] is not None
+        # Batching is visible: scanned batches and flows per batch.
+        scanned = [w for w in doc["workers"] if w["flows"]]
+        assert scanned
+        for worker in scanned:
+            assert 1 <= worker["batches"] <= worker["flows"]
+            assert worker["flows_per_batch"] == worker["flows"] / worker["batches"]
         assert json.dumps(doc)  # JSON-serializable end to end
 
     def test_worker_pids_are_live(self, daemon):

@@ -50,6 +50,12 @@ def capture_blob():
     return buffer.getvalue()
 
 
+def batch_blob(flows):
+    buffer = BytesIO()
+    write_pcap(buffer, [Packet(key=k, payload=p, seq=0) for k, p in flows])
+    return buffer.getvalue()
+
+
 @pytest.fixture(scope="module")
 def daemon():
     d = ScanDaemon(RULES, shards=2, config=ServeConfig(workers=2)).start()
@@ -125,6 +131,38 @@ class TestWorkerKillMidFlow:
             d.stop()
 
 
+class TestWorkerKillMidBatch:
+    def test_exactly_once_when_a_multi_flow_batch_dies(self):
+        # More workers than cores, each message a 4-flow batch of padded
+        # payloads, so the kill lands inside a batch: the batch splits and
+        # re-dispatches, and no flow is lost, duplicated or blamed.
+        d = ScanDaemon(
+            RULES, config=ServeConfig(workers=3, queue_depth=4, backoff_base=0.02)
+        ).start()
+        try:
+            payload = b"y" * 200_000 + b" alpha deep inside omega beta33 "
+            flows = [(key(i), payload) for i in range(36)]
+            assert d.submit_batch(flows[:12]) == 12  # one batch per worker
+            deadline = time.time() + 10
+            while d._active_flow[0] < 0 and time.time() < deadline:
+                time.sleep(0.001)  # wait until worker 0 is inside its batch
+            os.kill(d.worker_pids()[0], signal.SIGKILL)
+            assert d.submit_batch(flows[12:]) == 24
+            d.drain(120)
+            report = d.status()
+            assert report.restarts >= 1
+            assert report.flows_quarantined == 0
+            expected = sorted((e.pos, e.match_id) for e in compile_mfa(RULES).run(payload))
+            per_flow = {}
+            for a in d.alerts:
+                per_flow.setdefault(a.key, []).append((a.event.pos, a.event.match_id))
+            assert sorted(per_flow) == sorted(k for k, _ in flows)
+            for k, events in per_flow.items():
+                assert sorted(events) == expected, f"flow {k} lost or duplicated events"
+        finally:
+            d.stop()
+
+
 class TestPoisonFlowQuarantine:
     def test_hang_flow_quarantined_others_unaffected(self):
         config = ServeConfig(
@@ -170,6 +208,52 @@ class TestPoisonFlowQuarantine:
             assert report.restarts == 2  # first kill retries, second quarantines
             assert report.flows_quarantined == 1
             assert [a.event.match_id for a in d.alerts] == [2]
+        finally:
+            d.stop()
+
+    def test_crash_mid_batch_splits_then_quarantines(self):
+        # Batches of 5: the CRASH flow sits in the middle of the second.
+        config = ServeConfig(
+            workers=1, faults=True, queue_depth=10, backoff_base=0.02
+        )
+        poison = 7
+        flows = [
+            (key(i), b"alpha then omega" + bytes(f" flow-{i}", "ascii"))
+            for i in range(15)
+        ]
+        benign = flows[:poison] + flows[poison + 1 :]
+        flows[poison] = (key(poison), fault_payload("CRASH"))
+        ref_alerts, _ = resilient_scan(compile_mfa(RULES), batch_blob(benign))
+        d = ScanDaemon(RULES, config=config).start()
+        try:
+            alerts, report = serve_scan(d, batch_blob(flows))
+            # The multi-flow batch's death is split, not blamed; the two
+            # deaths of the one-flow retry then quarantine the poison.
+            assert report.restarts == config.max_flow_kills + 1
+            assert report.flows_quarantined == 1
+            assert any(
+                k == key(poison) and "quarantined" in reason
+                for k, reason in report.dispatch.errors
+            )
+            assert sorted(a.key for a in alerts) == sorted(k for k, _ in benign)
+            assert canonical_stream(alerts) == canonical_stream(ref_alerts)
+        finally:
+            d.stop()
+
+    def test_raise_mid_batch_poisons_only_that_flow(self):
+        config = ServeConfig(workers=1, faults=True, queue_depth=10)
+        flows = [(key(i), b"alpha and omega") for i in range(5)]
+        benign = flows[:2] + flows[3:]
+        flows[2] = (key(2), fault_payload("RAISE"))
+        ref_alerts, _ = resilient_scan(compile_mfa(RULES), batch_blob(benign))
+        d = ScanDaemon(RULES, config=config).start()
+        try:
+            alerts, report = serve_scan(d, batch_blob(flows))
+            assert report.restarts == 0
+            assert report.dispatch.flows_poisoned == 1
+            assert [k for k, _reason in report.dispatch.errors] == [key(2)]
+            assert report.workers[0].batches == 1  # one scan, retried per flow
+            assert canonical_stream(alerts) == canonical_stream(ref_alerts)
         finally:
             d.stop()
 
