@@ -6,6 +6,13 @@ attack density — ordinary telnet/SMTP/HTTP traffic) with the scalar
 both, and checks fidelity: the fastpath confirmed-match stream must be
 byte-identical to the scalar one on an attack-carrying trace as well.
 
+The streaming row cuts the same flows into 1400-B packets, each flow's
+packets back to back, and replays them packet by packet: with the scalar
+MFA (``replay(mfa, ...)``) and in lockstep batches of
+``engine.batch_hint`` packets (``replay(engine, ..., batch_size=...)``).
+Per-flow alert differences between the two replays count as stream
+diffs.
+
 Also exercises the compiled-artifact cache: the engine is obtained via
 ``compile_mfa_cached`` and the hit/miss outcome plus load time land in
 the emitted ``BENCH_fastpath.json``.
@@ -14,8 +21,9 @@ Run directly (CI does)::
 
     python benchmarks/bench_fastpath.py --quick
 
-Exits non-zero if the fastpath engine fails fidelity or is *slower* than
-the scalar engine — a regression guard, not a tuning target; see
+Exits non-zero if the fastpath engine fails fidelity, or if either the
+fastpath batch scan or the batched replay is *slower* than its scalar
+counterpart — a regression guard, not a tuning target; see
 docs/performance.md for the expected margins.
 """
 
@@ -87,6 +95,47 @@ def fastpath_mb_s(engine, flows: list[bytes], best_of: int) -> float:
     return total / best / 1e6
 
 
+def flow_packets(flows: list[bytes]) -> list:
+    """Each flow cut into 1400-B packets, its packets back to back."""
+    from repro.traffic.flows import PROTO_TCP, FiveTuple, Packet
+
+    packets = []
+    for i, payload in enumerate(flows):
+        key = FiveTuple(PROTO_TCP, "10.0.0.1", 1024 + i, "192.168.0.1", 80)
+        packets.extend(
+            Packet(key=key, payload=payload[offset : offset + 1400], seq=offset)
+            for offset in range(0, len(payload), 1400)
+        )
+    return packets
+
+
+def replay_mb_s(engine, packets: list, best_of: int, batch_size: int | None = None):
+    """Fastest of ``best_of`` replays in MB/s, and the last replay's stats."""
+    from repro.traffic import replay
+
+    total = sum(len(p.payload) for p in packets)
+    best = None
+    for _ in range(best_of):
+        start = time.perf_counter()
+        stats = replay(engine, packets, batch_size=batch_size)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return total / best / 1e6, stats
+
+
+def replay_diffs(batched, scalar) -> int:
+    """Flows whose alerts differ between two replays of the same packets."""
+
+    def per_flow(stats) -> dict:
+        flows: dict = {}
+        for key, event in stats.alerts:
+            flows.setdefault(key, []).append(event)
+        return {key: sorted(events) for key, events in flows.items()}
+
+    got, want = per_flow(batched), per_flow(scalar)
+    return sum(1 for key in got.keys() | want.keys() if got.get(key) != want.get(key))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--set", dest="set_name", default="C8", help="rule set")
@@ -111,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         compile_mfa_cached,
     )
     from repro.bench.harness import STATE_BUDGET
+    from repro.traffic import replay
 
     n_flows = 24 if args.quick else args.flows
     flow_bytes = 3000 if args.quick else args.flow_bytes
@@ -142,6 +192,20 @@ def main(argv: list[str] | None = None) -> int:
     fast = fastpath_mb_s(engine, benign, best_of)
     speedup = fast / scalar if scalar else 0.0
 
+    # Streaming: the same flows as back-to-back packets, replayed with the
+    # scalar MFA and in lockstep batches of ``batch_hint`` packets.  The
+    # attack-carrying trace adds matches to the diff check.
+    batch = engine.batch_hint
+    mixed_packets = flow_packets(mixed)
+    diffs += replay_diffs(
+        replay(engine, mixed_packets, batch_size=batch), replay(mfa, mixed_packets)
+    )
+    packets = flow_packets(benign)
+    replay_scalar, scalar_stats = replay_mb_s(mfa, packets, best_of)
+    replay_fast, batched_stats = replay_mb_s(engine, packets, best_of, batch_size=batch)
+    diffs += replay_diffs(batched_stats, scalar_stats)
+    replay_speedup = replay_fast / replay_scalar if replay_scalar else 0.0
+
     doc = {
         "set": args.set_name,
         "quick": args.quick,
@@ -152,6 +216,14 @@ def main(argv: list[str] | None = None) -> int:
         "scalar_mb_s": round(scalar, 3),
         "fastpath_mb_s": round(fast, 3),
         "speedup": round(speedup, 2),
+        "replay": {
+            "packets": len(packets),
+            "batch_size": batch,
+            "batches": batched_stats.n_batches,
+            "scalar_mb_s": round(replay_scalar, 3),
+            "batched_mb_s": round(replay_fast, 3),
+            "speedup": round(replay_speedup, 2),
+        },
         "match_events": events,
         "stream_diffs": diffs,
         "cache": {
@@ -166,14 +238,19 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"{args.set_name}: scalar {scalar:.2f} MB/s, fastpath {fast:.2f} MB/s "
-        f"({speedup:.1f}x), {events} events, {diffs} stream diffs "
-        f"[cache {'hit' if cache_hit else 'miss'} {compile_seconds:.2f}s] -> {out}"
+        f"({speedup:.1f}x); replay scalar {replay_scalar:.2f} MB/s, batched "
+        f"{replay_fast:.2f} MB/s ({replay_speedup:.1f}x, {len(packets)} packets "
+        f"in {batched_stats.n_batches} batches); {events} events, {diffs} stream "
+        f"diffs [cache {'hit' if cache_hit else 'miss'} {compile_seconds:.2f}s] -> {out}"
     )
     if diffs:
         print("FAIL: fastpath match stream diverged from scalar", file=sys.stderr)
         return 1
     if HAVE_NUMPY and fast < scalar:
         print("FAIL: fastpath slower than the scalar engine", file=sys.stderr)
+        return 1
+    if HAVE_NUMPY and replay_fast < replay_scalar:
+        print("FAIL: batched replay slower than the scalar replay", file=sys.stderr)
         return 1
     return 0
 

@@ -31,6 +31,7 @@ class ReplayStats:
     n_poisoned: int = 0
     n_skipped: int = 0
     n_evicted: int = 0
+    n_batches: int = 0  # feed_batch calls; 0 on the scalar path
     packet_ns: list[int] = field(default_factory=list)
     alerts: list[tuple[FiveTuple, MatchEvent]] = field(default_factory=list)
     errors: list[tuple[FiveTuple, str]] = field(default_factory=list)
@@ -68,6 +69,11 @@ class ReplayStats:
             f"p50 {self.p50_ns / 1e3:.1f} us, p99 {self.p99_ns / 1e3:.1f} us",
             f"per-byte cost: {self.ns_per_byte:.1f} ns/B",
         ]
+        if self.n_batches:
+            lines.append(
+                f"batches: {self.n_batches} "
+                f"({self.n_packets / self.n_batches:.1f} packets/batch)"
+            )
         if self.n_poisoned or self.n_skipped or self.n_evicted:
             lines.append(
                 f"degraded: {self.n_poisoned} flows poisoned, "
@@ -99,15 +105,21 @@ def replay(
     fed context, modelling a fixed-size flow table under port-scan load.
 
     ``batch_size`` switches to lockstep replay when the engine exposes
-    ``feed_batch`` (the fastpath engine): up to that many packets from
-    *distinct* flows are scanned in one batch call.  The match stream is
-    unchanged; per-packet latency becomes the batch cost shared among its
-    packets in proportion to payload bytes.  In ``isolate`` mode a batch
-    failure poisons every flow that was in the failing batch (the batch
-    advances flows jointly, so blame cannot be pinned to one of them).
+    ``feed_batch`` (the fastpath engine): every ``batch_size`` packets are
+    scanned in one batch call, and a flow with several packets in a batch
+    is fed them joined into one chunk, in arrival order.  The match stream
+    is unchanged; per-packet latency becomes the batch cost shared among
+    its packets in proportion to payload bytes, and ``n_batches`` counts
+    the batch calls.  A batch is flushed early only before an eviction, so
+    no context in a batch is ever evicted.  In ``isolate`` mode a batch
+    failure poisons every flow that was in the failing batch, at most
+    ``batch_size`` flows (the batch advances flows jointly, so blame
+    cannot be pinned to one of them).
     """
     if errors not in ("raise", "isolate"):
         raise ValueError(f"errors must be 'raise' or 'isolate', not {errors!r}")
+    if max_flows is not None and max_flows < 1:
+        raise ValueError(f"max_flows must be at least 1, not {max_flows!r}")
     isolate = errors == "isolate"
     stats = ReplayStats()
     contexts: dict[FiveTuple, object] = {}
@@ -191,51 +203,52 @@ def _replay_batched(
     max_flows: int | None,
     batch_size: int,
 ) -> ReplayStats:
-    """Lockstep replay loop: gather distinct-flow packets, flush as a batch."""
+    """Lockstep replay loop: pack ``batch_size`` packets, flush as one batch.
+
+    A flow's packets in the open batch are joined into one chunk, in
+    arrival order.  The context offset keeps event positions flow-absolute,
+    so one feed of the joined chunk yields the same events and final
+    context as feeding its packets one by one.
+    """
     perf = time.perf_counter_ns
-    pending_keys: list = []
-    pending_payloads: list[bytes] = []
-    pending_contexts: list = []
-    pending_set: set = set()
+    pending: dict[FiveTuple, list[bytes]] = {}  # flow -> its packets' payloads
+    sizes: list[int] = []  # payload length of every pending packet
 
     def flush() -> None:
-        if not pending_keys:
+        if not sizes:
             return
+        keys = list(pending)
+        stats.n_batches += 1
         start = perf()
         try:
-            batch_events = engine.feed_batch(pending_contexts, pending_payloads)
+            batch_events = engine.feed_batch(
+                [contexts[key] for key in keys],
+                [b"".join(pieces) for pieces in pending.values()],
+            )
         except Exception as exc:  # noqa: BLE001
             if not isolate:
                 raise
             # The batch advances its flows jointly; a failure mid-batch can
             # leave any of their contexts partially advanced, so all of them
             # are poisoned rather than guessing which flow is to blame.
-            for key in pending_keys:
+            for key in keys:
                 poisoned.add(key)
-                contexts.pop(key, None)
+                del contexts[key]
                 stats.n_poisoned += 1
                 stats.errors.append((key, f"engine error in batch: {exc}"))
-            pending_keys.clear()
-            pending_payloads.clear()
-            pending_contexts.clear()
-            pending_set.clear()
-            return
-        elapsed = perf() - start
-        batch_bytes = sum(len(p) for p in pending_payloads)
-        for key, payload, events in zip(pending_keys, pending_payloads, batch_events):
-            stats.n_packets += 1
-            stats.total_payload += len(payload)
-            stats.packet_ns.append(
-                round(elapsed * len(payload) / batch_bytes) if batch_bytes else elapsed
-            )
-            if events:
-                stats.n_alerts += len(events)
-                if collect_alerts:
-                    stats.alerts.extend((key, event) for event in events)
-        pending_keys.clear()
-        pending_payloads.clear()
-        pending_contexts.clear()
-        pending_set.clear()
+        else:
+            elapsed = perf() - start
+            batch_bytes = sum(sizes)
+            stats.n_packets += len(sizes)
+            stats.total_payload += batch_bytes
+            stats.packet_ns.extend(round(elapsed * size / batch_bytes) for size in sizes)
+            for key, events in zip(keys, batch_events):
+                if events:
+                    stats.n_alerts += len(events)
+                    if collect_alerts:
+                        stats.alerts.extend((key, event) for event in events)
+        pending.clear()
+        sizes.clear()
 
     for packet in packets:
         if not packet.payload:
@@ -244,10 +257,6 @@ def _replay_batched(
         if key in poisoned:
             stats.n_skipped += 1
             continue
-        if key in pending_set:
-            # One chunk per flow per batch: a second packet of the same
-            # flow forces the current batch out first, preserving order.
-            flush()
         context = contexts.pop(key, None)
         if context is None:
             if max_flows is not None and len(contexts) >= max_flows:
@@ -260,11 +269,9 @@ def _replay_batched(
             context = engine.new_context()
             seen.add(key)
         contexts[key] = context
-        pending_keys.append(key)
-        pending_payloads.append(packet.payload)
-        pending_contexts.append(context)
-        pending_set.add(key)
-        if len(pending_keys) >= batch_size:
+        pending.setdefault(key, []).append(packet.payload)
+        sizes.append(len(packet.payload))
+        if len(sizes) >= batch_size:
             flush()
     flush()
     for key, context in contexts.items():
