@@ -38,10 +38,14 @@ __all__ = [
 
 
 def fig3_rows() -> list[str]:
-    """Construction seconds per (set, engine family), as the paper's bars."""
+    """Construction seconds per (set, engine family), as the paper's bars.
+
+    A failed build reads ``fail:<budget>@<N>s``: which DFA budget tripped
+    (``states`` or ``seconds``) and after how long.
+    """
     lines = [
-        f"{'Pattern':7s} {'NFA':>8s} {'DFA':>9s} {'HFA':>9s} {'MFA':>9s}",
-        "-" * 46,
+        f"{'Pattern':7s} {'NFA':>8s} {'DFA':>16s} {'HFA':>9s} {'MFA':>9s}",
+        "-" * 53,
     ]
     for name in ruleset_names():
         cells = []
@@ -50,9 +54,9 @@ def fig3_rows() -> list[str]:
             if result.ok:
                 cells.append(f"{result.seconds:.2f}")
             else:
-                cells.append(f"fail@{result.seconds:.0f}s")
+                cells.append(f"fail:{result.reason}@{result.seconds:.0f}s")
         lines.append(
-            f"{name:7s} {cells[0]:>8s} {cells[1]:>9s} {cells[2]:>9s} {cells[3]:>9s}"
+            f"{name:7s} {cells[0]:>8s} {cells[1]:>16s} {cells[2]:>9s} {cells[3]:>9s}"
         )
     return lines
 

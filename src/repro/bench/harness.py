@@ -79,6 +79,7 @@ class BuildResult:
     engine: object | None
     seconds: float
     error: str | None = None
+    reason: str | None = None  # the DFA budget that tripped: "states" or "seconds"
 
     @property
     def ok(self) -> bool:
@@ -157,6 +158,7 @@ def build_engine(set_name: str, engine_name: str) -> BuildResult:
             None,
             time.perf_counter() - start,
             error=f"exceeded {exc.budget} {exc.reason}",
+            reason=exc.reason,
         )
     return BuildResult(set_name, engine_name, engine, time.perf_counter() - start)
 

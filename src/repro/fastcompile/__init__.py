@@ -6,7 +6,8 @@ compile-side performance layer, mirroring what :mod:`repro.fastpath` does
 for the scan side, without changing any observable compile semantics:
 
 * :mod:`repro.fastcompile.bitset` — subset construction over int bitsets
-  and packed move vectors (now the engine behind
+  and packed move vectors, with the moves of each subset's sticky
+  (full self-loop) core memoized (now the engine behind
   :func:`repro.automata.dfa.build_dfa_from_nfa`);
 * :mod:`repro.fastcompile.shards` — rule-set partitioning, process-pool
   shard compiles, per-shard artifact caching, and the

@@ -1,7 +1,9 @@
 """Formatting-level tests for figure/table rendering (no engine builds)."""
 
+import repro.bench.figures as figures_module
 from repro.automata.memory import ImageSize, format_mb, image_size
-from repro.bench.figures import ThroughputPoint, fig4_rows, fig5_rows
+from repro.bench.figures import ThroughputPoint, fig3_rows, fig4_rows, fig5_rows
+from repro.bench.harness import BuildResult
 
 
 class TestMemoryFormatting:
@@ -30,6 +32,20 @@ class TestMemoryFormatting:
 
         assert image_size(WithFilter()).filter_bytes == 7
         assert image_size(Plain()).filter_bytes == 0
+
+
+class TestFig3Formatting:
+    def test_failure_cell_names_the_budget(self, monkeypatch):
+        def fake_build(set_name, engine_name):
+            if engine_name == "dfa":
+                return BuildResult(set_name, engine_name, None, 9.4, "exceeded", "states")
+            return BuildResult(set_name, engine_name, object(), 0.5)
+
+        monkeypatch.setattr(figures_module, "ruleset_names", lambda: ["B217p"])
+        monkeypatch.setattr(figures_module, "build_engine", fake_build)
+        header, rule, row = fig3_rows()
+        assert row.split() == ["B217p", "0.50", "fail:states@9s", "0.50", "0.50"]
+        assert len(header) == len(rule) == len(row)
 
 
 def _points():
