@@ -1,7 +1,6 @@
 """Worst-case versus clean throughput under replayed adversarial witnesses.
 
-Compiles each tracked set with the D²FA artifact tier (so every slow-path
-channel the analyzer targets exists), runs the static adversarial audit
+Compiles each tracked set (dense), runs the static adversarial audit
 (:mod:`repro.analyze.adversary`) with replay enabled, and reports the
 worst/clean throughput curve per witness class and engine: how much a
 crafted input stream actually slows the real scalar and fastpath engines
@@ -13,12 +12,11 @@ Run directly (CI does)::
 
 Exit-1 gates, all on the gated set (``--set``, default B217p):
 
-- every required witness class (chain-depth, prefilter-evasion,
-  cache-thrash) must be synthesized;
+- every required witness class (prefilter-evasion) must be synthesized;
 - each required class's best measured slowdown must reach ``--factor``
   (0.5) of its statically predicted worst/clean ratio — the predictions
-  must not be fantasy (numpy runs only: the scalar chain walker's probe
-  cost is too uniform to separate the cache classes);
+  must not be fantasy (numpy runs only: without numpy there is no
+  prefiltered engine to replay through);
 - zero match-stream diffs on any replayed witness, every set — a
   witness that changes what the engine reports is an AV106 error.
 """
@@ -52,7 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     from conftest import write_results
 
     from repro.analyze import REQUIRED_WITNESS_KINDS, analyze_adversary
-    from repro.automata.compress import DEFAULT_CHAIN_DEPTH
     from repro.bench.harness import STATE_BUDGET, patterns_for
     from repro.fastpath import HAVE_NUMPY
 
@@ -70,10 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     gated = None
     for name in set_names:
         start = time.perf_counter()
-        mfa = compile_mfa(
-            list(patterns_for(name)), state_budget=STATE_BUDGET,
-            compress=DEFAULT_CHAIN_DEPTH,
-        )
+        mfa = compile_mfa(list(patterns_for(name)), state_budget=STATE_BUDGET)
         compile_seconds = time.perf_counter() - start
         start = time.perf_counter()
         result = analyze_adversary(
@@ -132,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         "set": args.set_name,
         "quick": args.quick,
         "have_numpy": HAVE_NUMPY,
-        "chain_depth": DEFAULT_CHAIN_DEPTH,
         "replay_bytes": replay_bytes,
         "factor_required": args.factor,
         "sets": sets,

@@ -5,13 +5,12 @@ Compiles the explosive B217p set with ``compress=DEFAULT_CHAIN_DEPTH``,
 serializes both the dense and the compressed bundle, and measures:
 
 - the transition-table and whole-bundle compression ratios;
-- decode latency of both compressed decode modes (``flatten`` rebuilds
-  the dense table, ``chain`` keeps the forest);
+- decode latency of a compressed load (it flattens back to the dense
+  table and keeps the forest for re-dumps);
 - fastpath throughput of the compressed-load path versus the dense
-  artifact, plus the chain-walk kernel's retention as data;
-- match-stream fidelity: every tracked set's compressed load — in BOTH
-  decode modes — must reproduce the dense confirmed-match stream
-  byte-for-byte.
+  artifact;
+- match-stream fidelity: every tracked set's compressed load must
+  reproduce the dense confirmed-match stream byte-for-byte.
 
 Run directly (CI does)::
 
@@ -19,7 +18,7 @@ Run directly (CI does)::
 
 Exit-1 gates: transition-table compression below ``--min-ratio`` (8x),
 compressed-load throughput below ``--min-retention`` (0.70) of the dense
-fastpath, or any match-stream diff in either decode mode.
+fastpath, or any match-stream diff on any set.
 """
 
 from __future__ import annotations
@@ -105,30 +104,20 @@ def main(argv: list[str] | None = None) -> int:
     table_ratio = dense_table / max(1, compressed_table)
     bundle_ratio = len(dense_blob) / max(1, len(compressed_blob))
 
-    # -- decode latency of both compressed modes ------------------------------
+    # -- decode latency of a compressed load ---------------------------------
     start = time.perf_counter()
-    flat_mfa = loads_mfa(compressed_blob, decode="flatten")
+    flat_mfa = loads_mfa(compressed_blob)
     flatten_ms = 1000 * (time.perf_counter() - start)
-    start = time.perf_counter()
-    chain_mfa = loads_mfa(compressed_blob, decode="chain")
-    chain_ms = 1000 * (time.perf_counter() - start)
 
-    # -- throughput: dense artifact vs both compressed decode paths ----------
+    # -- throughput: dense artifact vs the compressed load --------------------
     flows = build_benign_flows(n_flows, flow_bytes)
     dense_engine = build_fastpath(loads_mfa(dense_blob))
     flat_engine = build_fastpath(flat_mfa)
-    chain_engine = build_fastpath(chain_mfa)
     dense_mb_s = throughput_mb_s(dense_engine, flows, best_of)
     flat_mb_s = throughput_mb_s(flat_engine, flows, best_of)
-    chain_mb_s = throughput_mb_s(chain_engine, flows, best_of)
-    # The gate covers the path deployments actually load through: "auto"
-    # flattens whenever the dense table fits the decode budget, so the
-    # compressed-load retention is the flatten path's.  The chain-walk
-    # kernel — the memory-constrained configuration — is reported as data.
     retention = flat_mb_s / dense_mb_s if dense_mb_s else 0.0
-    chain_retention = chain_mb_s / dense_mb_s if dense_mb_s else 0.0
 
-    # -- fidelity on every tracked set, both decode modes ---------------------
+    # -- fidelity on every tracked set ----------------------------------------
     fidelity = []
     total_events = 0
     total_diffs = 0
@@ -142,15 +131,11 @@ def main(argv: list[str] | None = None) -> int:
             )
             set_blob = dumps_mfa(set_mfa)
         payloads = flows if name == args.set_name else flows[: max(4, n_flows // 4)]
-        row = {"set": name}
-        for mode in ("flatten", "chain"):
-            engine = build_fastpath(loads_mfa(set_blob, decode=mode))
-            events, diffs = stream_diffs(set_mfa, engine, payloads)
-            row[f"{mode}_events"] = events
-            row[f"{mode}_diffs"] = diffs
-            total_events += events
-            total_diffs += diffs
-        fidelity.append(row)
+        engine = build_fastpath(loads_mfa(set_blob))
+        events, diffs = stream_diffs(set_mfa, engine, payloads)
+        total_events += events
+        total_diffs += diffs
+        fidelity.append({"set": name, "flatten_events": events, "flatten_diffs": diffs})
 
     doc = {
         "set": args.set_name,
@@ -168,12 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         "compressed_bundle_bytes": len(compressed_blob),
         "bundle_ratio": round(bundle_ratio, 2),
         "decode_flatten_ms": round(flatten_ms, 2),
-        "decode_chain_ms": round(chain_ms, 2),
         "dense_mb_s": round(dense_mb_s, 3),
         "flatten_mb_s": round(flat_mb_s, 3),
-        "chain_mb_s": round(chain_mb_s, 3),
         "retention": round(retention, 3),
-        "chain_retention": round(chain_retention, 3),
         "min_ratio_required": args.min_ratio,
         "min_retention_required": args.min_retention,
         "match_events": total_events,
@@ -184,10 +166,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"{args.set_name}: table {table_ratio:.1f}x (bundle {bundle_ratio:.1f}x) "
-        f"at depth<={depth}; decode flatten {flatten_ms:.0f}ms / chain "
-        f"{chain_ms:.0f}ms; throughput dense {dense_mb_s:.1f} -> flatten "
-        f"{flat_mb_s:.1f} ({100 * retention:.0f}%) / chain {chain_mb_s:.1f} "
-        f"({100 * chain_retention:.0f}%); {total_events} events, "
+        f"at depth<={depth}; decode flatten {flatten_ms:.0f}ms; throughput "
+        f"dense {dense_mb_s:.1f} -> flatten {flat_mb_s:.1f} "
+        f"({100 * retention:.0f}%); {total_events} events, "
         f"{total_diffs} stream diffs -> {out}"
     )
     failed = False

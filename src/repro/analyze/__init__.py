@@ -19,8 +19,8 @@ Seven analyzers, one report type, zero traffic:
   ASTs, with shortest-counterexample extraction on inequivalence;
 * :mod:`~repro.analyze.adversary` — worst-case cost audit: synthesizes
   replay-confirmed witness traces for every data-dependent slow path an
-  artifact carries (D²FA chain walks, hot-cache thrash, prefilter
-  evasion, filter bit-churn) with statically predicted slowdown bounds;
+  artifact carries (prefilter evasion, filter bit-churn) with statically
+  predicted slowdown bounds;
 * :mod:`~repro.analyze.ruleset` — cross-rule interaction analysis:
   exact duplicate/subsumption/shadowing proofs via product-automaton
   walks with replay-confirmed witnesses, a predicted-cost interaction

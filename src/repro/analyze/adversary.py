@@ -2,15 +2,8 @@
 
 Network security middleboxes face an attacker who *chooses* the traffic,
 so the number that matters is not mean throughput but the worst case an
-adversary can force.  Two recent artifact tiers deliberately traded
-average-case speed for data-dependent slow paths:
+adversary can force.  Two engine stages have data-dependent costs:
 
-* the D²FA default-transition forest resolves a lookup by walking a
-  default chain (1 probe per hop), so bytes that always miss the overlay
-  cost ``depth + 1`` probes instead of 1;
-* the chain-walk fastpath kernel caches a BFS-bounded hot set of dense
-  rows (``REPRO_CHAIN_HOT``), so traffic herded into cold states pays a
-  vectorized forest walk per position;
 * the required-literal prefilter skims 2-byte grams and walks only
   verified candidate windows, so gram-collision streams that flood
   candidates without matching push the engine over the density-fallback
@@ -45,22 +38,18 @@ never promise more than the engines deliver.
 Finding codes (``AV`` = adversary; registry in docs/static-analysis.md):
 
 * ``AV100`` error — the adversary audit itself crashed (escort wrapper);
-* ``AV101`` — chain-depth witness: longest-mean D²FA default-chain walk;
 * ``AV102`` — prefilter-evasion witness: gram-collision stream driving
   candidate-window density over the fallback threshold without matching;
-* ``AV103`` — cache-thrash witness: cold-walk trace against the
-  ``REPRO_CHAIN_HOT`` BFS hot set;
 * ``AV104`` — filter bit-churn witness: trace maximizing bits flipped
   per input byte, plus the per-state churn ranking;
 * ``AV105`` warning — a replayed witness under-delivered (< 0.5x its
   predicted ratio): the static cost model has drifted from the engines;
 * ``AV106`` error — match-stream diff during witness replay (an engine
   disagreed with the scalar reference on adversarial input);
-* ``AV110`` info — a prefilter plan is carried but auto-disabled in
-  chain-decode mode (surfaced at scan time as
-  ``ScanReport.prefilter_disabled``);
 * ``AV120`` info — engine family out of scope (NFA/HybridFA fallbacks);
 * ``AV130`` info — audit census: which witness classes were emitted.
+
+``AV101``, ``AV103`` and ``AV110`` are retired and not reused.
 
 Witness severities: ``warning`` when the predicted slowdown ratio
 reaches ``_WARN_RATIO``, else ``info`` — a wasteful-but-correct artifact
@@ -79,7 +68,6 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from .report import ERROR, INFO, WARNING, AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..automata.compress import CompressedDFA
     from ..core.mfa import MFA
 
 try:  # pragma: no cover - exercised via both branches in CI matrices
@@ -101,11 +89,7 @@ __all__ = [
 COMPONENT = "adversary"
 
 #: Witness classes the B217p acceptance gate requires (bench_adversarial).
-REQUIRED_WITNESS_KINDS: tuple[str, ...] = (
-    "chain-depth",
-    "prefilter-evasion",
-    "cache-thrash",
-)
+REQUIRED_WITNESS_KINDS: tuple[str, ...] = ("prefilter-evasion",)
 
 # -- cost-model constants (probe-equivalents per byte) ------------------------
 
@@ -130,9 +114,6 @@ _UNDERDELIVER_FACTOR = 0.5
 _VI_SWEEPS = 48
 #: Density-fallback threshold mirrored from the fastpath engine (3/8).
 _DENSITY_NUM, _DENSITY_DEN = 3, 8
-#: Hot-cap divisor for the stress configuration when the default cache
-#: already covers every state (the memory-constrained deployment knob).
-_STRESS_HOT_DIVISOR = 16
 
 DEFAULT_TRACE_BYTES = 2048
 DEFAULT_REPLAY_BYTES = 1 << 15
@@ -283,13 +264,6 @@ def clean_payload(length: int, seed: int = _CLEAN_SEED) -> bytes:
 # -- table plumbing -----------------------------------------------------------
 
 
-def _forest_of(mfa: "MFA") -> "CompressedDFA | None":
-    forest = getattr(mfa, "compressed", None)
-    if forest is None:
-        forest = getattr(mfa.dfa, "forest", None)
-    return forest  # type: ignore[return-value]
-
-
 def _plan_of(mfa: "MFA") -> "dict[str, Any] | None":
     """The prefilter plan to audit: carried, buildable, or audit-mode.
 
@@ -316,92 +290,6 @@ def _plan_of(mfa: "MFA") -> "dict[str, Any] | None":
     if plan is not None and not plan.get("chains"):
         return None
     return plan
-
-
-def _dense_rows(mfa: "MFA", forest: "CompressedDFA | None") -> list[array]:
-    """256-entry dense next-state rows, flattening a chain-decoded DFA."""
-    rows = mfa.dfa.rows
-    if rows and not isinstance(rows[0], array):
-        if forest is None:  # pragma: no cover - ChainDFA always carries one
-            raise ValueError("proxy-row DFA without a forest")
-        rows = forest.flatten().rows
-    return list(rows)
-
-
-def _chain_probe_rows(forest: "CompressedDFA") -> list[list[int]]:
-    """probes[q][b]: default-chain hops + 1 to resolve byte ``b`` from ``q``.
-
-    Exactly the recurrence :meth:`CompressedDFA.next_state` executes:
-    an overlay hit costs 1 probe; otherwise the lookup recurses to the
-    default parent for one extra probe; root rows always answer in 1.
-    Computed parents-first so each row is one add over its parent's.
-    """
-    n = forest.n_states
-    parent = forest.parent
-    depth = [0] * n
-    for q in range(n):
-        hops, cur = 0, q
-        trail = []
-        while parent[cur] >= 0:
-            if depth[cur]:
-                hops += depth[cur]
-                break
-            trail.append(cur)
-            cur = parent[cur]
-            hops += 1
-        for back, state in enumerate(trail):
-            depth[state] = hops - back
-    probes: list[list[int]] = [[] for _ in range(n)]
-    for q in sorted(range(n), key=depth.__getitem__):
-        if parent[q] < 0:
-            row = [1] * 256
-        else:
-            row = [c + 1 for c in probes[parent[q]]]
-            for byte in forest.overlays[q]:
-                row[byte] = 1
-        probes[q] = row
-    return probes
-
-
-def _hot_states(forest: "CompressedDFA", hot_cap: int) -> set[int]:
-    """The chain kernel's BFS hot set, replicated transition-for-transition.
-
-    Must stay in lockstep with ``FastPathMFA._build_chain_tables``: BFS
-    from the start state, expanding each materialised row in byte order,
-    admitting states until ``hot_cap``.
-    """
-    parent = forest.parent
-    root_index = forest.root_index
-    root_rows = forest.root_rows
-    overlays = forest.overlays
-    n = forest.n_states
-
-    def row_of(q: int) -> list[int]:
-        path = []
-        cur = q
-        while parent[cur] >= 0:
-            path.append(cur)
-            cur = parent[cur]
-        row = list(root_rows[root_index[cur]])
-        for state in reversed(path):
-            for byte, target in overlays[state].items():
-                row[byte] = target
-        return row
-
-    seen = bytearray(n)
-    seen[forest.start] = 1
-    queue = [forest.start]
-    head = 0
-    hot: set[int] = set()
-    while head < len(queue) and len(hot) < hot_cap:
-        q = queue[head]
-        head += 1
-        hot.add(q)
-        for target in row_of(q):
-            if not seen[target]:
-                seen[target] = 1
-                queue.append(target)
-    return hot
 
 
 # -- witness synthesis --------------------------------------------------------
@@ -480,100 +368,6 @@ def _trace_cost(
         total += cost(q, b)
         q = rows[q][b]
     return total / max(1, len(payload))
-
-
-def _chain_witness(
-    rows: list[array],
-    forest: "CompressedDFA",
-    start: int,
-    trace_bytes: int,
-    clean: bytes,
-) -> WitnessTrace:
-    """AV101: the longest-mean default-chain walk the forest admits."""
-    probes = _chain_probe_rows(forest)
-
-    def cost(q: int, b: int) -> float:
-        return float(probes[q][b])
-
-    payload, witness_probes = _synthesize(
-        rows, cost, probes if _np is not None else None, start, trace_bytes
-    )
-    clean_probes = _trace_cost(rows, cost, start, clean)
-    return WitnessTrace(
-        kind="chain-depth",
-        code="AV101",
-        payload=payload,
-        predicted_cost=_MODEL_OVERHEAD + witness_probes,
-        baseline_cost=_MODEL_OVERHEAD + clean_probes,
-        detail=(
-            f"mean {witness_probes:.2f} probes/byte vs {clean_probes:.2f} clean "
-            f"(chain depth {forest.chain_depth()})"
-        ),
-        params={
-            "chain_depth": forest.chain_depth(),
-            "witness_probes_per_byte": round(witness_probes, 4),
-            "clean_probes_per_byte": round(clean_probes, 4),
-        },
-    )
-
-
-def _thrash_witness(
-    rows: list[array],
-    forest: "CompressedDFA",
-    start: int,
-    trace_bytes: int,
-    clean: bytes,
-    hot_cap: "int | None",
-) -> "WitnessTrace | None":
-    """AV103: a cold-walk trace against the ``REPRO_CHAIN_HOT`` BFS cache."""
-    from ..fastpath.engine import _HOT_STATES
-
-    n = forest.n_states
-    default_cap = min(n, _HOT_STATES)
-    cap = hot_cap if hot_cap is not None else default_cap
-    stressed = False
-    if cap >= n:
-        # The default cache covers every state: audit the memory-constrained
-        # configuration operators actually shrink REPRO_CHAIN_HOT to.
-        cap = max(1, n // _STRESS_HOT_DIVISOR)
-        stressed = True
-    hot = _hot_states(forest, cap)
-    if len(hot) >= n:
-        return None
-    probes = _chain_probe_rows(forest)
-
-    def cost(q: int, b: int) -> float:
-        if q in hot:
-            return 1.0
-        return 1.0 + probes[q][b]
-
-    matrix: "Any | None" = None
-    if _np is not None:
-        matrix = _np.asarray(probes, dtype=_np.float64) + 1.0
-        hot_mask = _np.zeros(n, dtype=bool)
-        hot_mask[list(hot)] = True
-        matrix[hot_mask] = 1.0
-    payload, witness_cost = _synthesize(rows, cost, matrix, start, trace_bytes)
-    clean_cost = _trace_cost(rows, cost, start, clean)
-    return WitnessTrace(
-        kind="cache-thrash",
-        code="AV103",
-        payload=payload,
-        predicted_cost=witness_cost,
-        baseline_cost=clean_cost,
-        detail=(
-            f"cold-walk trace at hot_cap={cap} "
-            f"({n - len(hot)}/{n} states cold"
-            + ("; default cache covers all states)" if stressed else ")")
-        ),
-        params={
-            "hot_cap": cap,
-            "default_hot_cap": default_cap,
-            "n_states": n,
-            "cold_states": n - len(hot),
-            "stressed": stressed,
-        },
-    )
 
 
 def _prefilter_witness(
@@ -783,71 +577,35 @@ def replay_witness(
     scalar reference (which must agree — the engines are proven
     equivalent, and an adversarial divergence is an ``AV106`` error).
     """
-    import os
-
-    from ..core.mfa import MFA
     from ..fastpath import HAVE_NUMPY, build_fastpath
-    from ..fastpath.engine import _HOT_ENV
 
-    forest = _forest_of(mfa)
-    if not isinstance(mfa.dfa.rows[0] if mfa.dfa.rows else None, array):
-        dense_mfa = MFA(forest.flatten(), mfa.program) if forest else mfa
-    else:
-        dense_mfa = mfa
     w_payload = _tile(witness.payload, replay_bytes)
     c_payload = clean if clean is not None else clean_payload(replay_bytes)
     if len(c_payload) != len(w_payload):
         c_payload = _tile(c_payload, len(w_payload))
-    reference = dense_mfa.run(w_payload)
+    reference = mfa.run(w_payload)
     events = len(reference)
 
-    runners: list[tuple[str, Callable[[bytes], list[Any]]]] = []
-    if witness.kind in ("chain-depth", "cache-thrash") and forest is not None:
-        chain_mfa = MFA(forest.to_chain_dfa(), mfa.program)
-        chain_mfa.compressed = forest
-        runners.append(("scalar-chain", chain_mfa.run))
-        if HAVE_NUMPY:
-            if witness.kind == "cache-thrash":
-                cap = witness.params.get("hot_cap")
-                saved = os.environ.get(_HOT_ENV)
-                os.environ[_HOT_ENV] = str(cap)
-                try:
-                    engine = build_fastpath(chain_mfa, prefilter="off")
-                finally:
-                    if saved is None:
-                        os.environ.pop(_HOT_ENV, None)
-                    else:
-                        os.environ[_HOT_ENV] = saved
-            else:
-                engine = build_fastpath(chain_mfa, prefilter="off")
+    runners: list[tuple[str, Callable[[bytes], list[Any]]]] = [("scalar", mfa.run)]
+    if HAVE_NUMPY and witness.kind == "prefilter-evasion":
+        # Replay against the same plan the analysis audited — injecting
+        # the audit-mode plan when the artifact ships without one (the
+        # witness's zero-diff check below still holds the engine to the
+        # scalar reference stream on the adversarial bytes).
+        plan = _plan_of(mfa)
+        saved_plan = mfa.prefilter
+        mfa.prefilter = plan
+        try:
+            engine = build_fastpath(mfa, prefilter="on")
+        finally:
+            mfa.prefilter = saved_plan
+        if engine.prefilter_active:
             runners.append(
-                ("fastpath-chain", lambda data, e=engine: e.run_batch([data])[0])
+                ("fastpath-prefilter", lambda data, e=engine: e.run_batch([data])[0])
             )
-    elif witness.kind == "prefilter-evasion":
-        runners.append(("scalar", dense_mfa.run))
-        if HAVE_NUMPY:
-            # Replay against the same plan the analysis audited — injecting
-            # the audit-mode plan when the artifact ships without one (the
-            # witness's zero-diff check below still holds the engine to the
-            # scalar reference stream on the adversarial bytes).
-            plan = _plan_of(mfa)
-            saved_plan = dense_mfa.prefilter
-            dense_mfa.prefilter = plan
-            try:
-                engine = build_fastpath(dense_mfa, prefilter="on")
-            finally:
-                dense_mfa.prefilter = saved_plan
-            if engine.prefilter_active:
-                runners.append(
-                    ("fastpath-prefilter", lambda data, e=engine: e.run_batch([data])[0])
-                )
-    else:
-        runners.append(("scalar", dense_mfa.run))
-        if HAVE_NUMPY:
-            engine = build_fastpath(dense_mfa, prefilter="off")
-            runners.append(
-                ("fastpath", lambda data, e=engine: e.run_batch([data])[0])
-            )
+    elif HAVE_NUMPY:
+        engine = build_fastpath(mfa, prefilter="off")
+        runners.append(("fastpath", lambda data, e=engine: e.run_batch([data])[0]))
 
     outcomes = []
     for name, run in runners:
@@ -889,7 +647,6 @@ def analyze_adversary(
     mfa: "MFA",
     report: "AnalysisReport | None" = None,
     trace_bytes: int = DEFAULT_TRACE_BYTES,
-    hot_cap: "int | None" = None,
     replay: bool = False,
     replay_bytes: int = DEFAULT_REPLAY_BYTES,
     best_of: int = 3,
@@ -897,9 +654,8 @@ def analyze_adversary(
     """Static adversarial audit of one compiled MFA (all artifact tiers).
 
     Synthesizes worst-case witness traces for every slow-path channel the
-    artifact actually carries — D²FA default chains and the hot-state
-    cache when a forest is attached, prefilter evasion when a plan is
-    compiled, filter bit-churn always — and emits ``AV1xx`` findings with
+    artifact actually carries — prefilter evasion when a plan is compiled,
+    filter bit-churn always — and emits ``AV1xx`` findings with
     the statically predicted worst/clean cost ratios.  ``replay=True``
     additionally replay-confirms each witness through the real engines
     (:func:`replay_witness`), flagging model drift (``AV105``) and any
@@ -910,28 +666,11 @@ def analyze_adversary(
     if mfa.dfa.n_states == 0:
         out.add("AV130", INFO, COMPONENT, "empty automaton: nothing to audit")
         return AdversaryResult(out, witnesses)
-    forest = _forest_of(mfa)
-    rows = _dense_rows(mfa, forest)
+    rows = list(mfa.dfa.rows)
     start = mfa.dfa.start
     clean = clean_payload(trace_bytes)
 
     plan = _plan_of(mfa)
-
-    if forest is not None:
-        witnesses.append(_chain_witness(rows, forest, start, trace_bytes, clean))
-        thrash = _thrash_witness(rows, forest, start, trace_bytes, clean, hot_cap)
-        if thrash is not None:
-            witnesses.append(thrash)
-        if plan is not None:
-            out.add(
-                "AV110",
-                INFO,
-                COMPONENT,
-                "prefilter plan is carried but auto-disabled when this "
-                "artifact is chain-decoded (REPRO_DECODE=chain); scans "
-                "record it as ScanReport.prefilter_disabled",
-                location="prefilter",
-            )
     if plan is not None:
         evasion = _prefilter_witness(mfa, plan, trace_bytes)
         if evasion is not None:

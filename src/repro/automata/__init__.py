@@ -1,7 +1,6 @@
 """Automata substrates: NFA, DFA (+minimization), and the HFA/XFA baselines."""
 
 from .compress import CompressedDFA, compress_dfa
-from .dot import dfa_to_dot, nfa_to_dot
 from .dfa import DFA, DEFAULT_STATE_BUDGET, DfaExplosionError, build_dfa, build_dfa_from_nfa
 from .hfa import HFA, build_hfa
 from .hybridfa import HybridFA, build_hybrid_fa
@@ -16,8 +15,6 @@ from .xfa import XFA, build_xfa
 __all__ = [
     "CompressedDFA",
     "compress_dfa",
-    "dfa_to_dot",
-    "nfa_to_dot",
     "DFA",
     "DEFAULT_STATE_BUDGET",
     "DfaExplosionError",

@@ -22,10 +22,8 @@ Beyond the in-memory engine, the forest is a first-class *artifact tier*:
 :func:`repro.core.mfa.build_mfa` attaches it at compile time
 (``compress=`` / ``REPRO_COMPILE_COMPRESS``), the bundle format
 serialises it (:func:`repro.automata.serialize.dumps_cdfa`), and loaders
-decode it back either by :meth:`CompressedDFA.flatten` (dense again,
-when memory allows) or as a :class:`ChainDFA` whose rows answer lookups
-straight off the forest (the fastpath engine then runs its chain-walk
-lane kernel over it).
+decode it back by :meth:`CompressedDFA.flatten` (dense again, so every
+engine scans it at full speed).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .nfa import MatchEvent
 
 __all__ = [
     "CompressedDFA",
-    "ChainDFA",
     "compress_dfa",
     "resolve_compress_option",
     "DEFAULT_CHAIN_DEPTH",
@@ -241,7 +238,7 @@ class CompressedDFA:
             state = target
         return state
 
-    # -- decode paths --------------------------------------------------------
+    # -- decode --------------------------------------------------------------
 
     def flatten(self) -> DFA:
         """Reconstruct the dense source DFA, byte-identically.
@@ -286,68 +283,6 @@ class CompressedDFA:
             group_of_byte=group,
             n_groups=self.n_groups,
         )
-
-    def to_chain_dfa(self) -> "ChainDFA":
-        """The zero-flatten decode path: a DFA whose rows answer off the
-        forest (see :class:`ChainDFA`)."""
-        return ChainDFA(self)
-
-
-class _ChainRow:
-    """One state's virtual dense row: ``row[byte]`` walks the forest."""
-
-    __slots__ = ("_forest", "_state")
-
-    def __init__(self, forest: CompressedDFA, state: int):
-        self._forest = forest
-        self._state = state
-
-    def __getitem__(self, byte: int) -> int:
-        return self._forest.next_state(self._state, byte)
-
-    def __len__(self) -> int:
-        return 256
-
-    def __iter__(self):  # type: ignore[no-untyped-def]
-        forest = self._forest
-        state = self._state
-        return (forest.next_state(state, byte) for byte in range(256))
-
-
-class ChainDFA(DFA):
-    """A :class:`DFA` backed by a default-pointer forest, not a dense table.
-
-    Every ``rows[q][byte]`` access resolves through the forest's chain
-    walk, so scalar engines (``MFA.feed``, the stitch pass of the fastpath
-    engine, the equivalence prover) run unchanged — slower per byte, but
-    without ever materialising the dense table.  The fastpath engine
-    detects this class and builds its vectorized chain-walk lane kernel
-    from :attr:`forest` instead of dense rows.
-    """
-
-    def __init__(self, forest: CompressedDFA):
-        rows = [_ChainRow(forest, q) for q in range(forest.n_states)]
-        group = array("i", forest.group_of_byte) if forest.group_of_byte is not None else None
-        super().__init__(
-            cast("list[array]", rows),
-            forest.start,
-            forest.accepts,
-            forest.accepts_end,
-            group_of_byte=group,
-            n_groups=forest.n_groups,
-        )
-        self.forest = forest
-
-    def memory_bytes(self, compressed: bool | None = None) -> int:
-        """The forest's serialised accounting — the whole point of the tier."""
-        return self.forest.memory_bytes()
-
-    def scan(self, data: bytes, state: int | None = None) -> int:
-        current = self.start if state is None else state
-        forest = self.forest
-        for byte in data:
-            current = forest.next_state(current, byte)
-        return current
 
 
 def compress_dfa(

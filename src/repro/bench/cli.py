@@ -36,12 +36,11 @@ Examples::
 
 ``lint`` exits non-zero when any error-severity finding survives
 (``--fail-on warning`` tightens the gate to warnings as well);
-``audit`` synthesizes adversarial worst-case witness traces (longest
-default-transition chains, prefilter-evading streams, hot-cache
-thrashers, filter bit-churn maximizers), replays each through the real
-scalar and fastpath engines, and exits non-zero on any error-severity
-``AV`` finding — a crashed audit or a witness whose replay diverged
-from the reference match stream;
+``audit`` synthesizes adversarial worst-case witness traces
+(prefilter-evading streams, filter bit-churn maximizers), replays each
+through the real scalar and fastpath engines, and exits non-zero on any
+error-severity ``AV`` finding — a crashed audit or a witness whose
+replay diverged from the reference match stream;
 ``verify`` exits non-zero on any stream divergence from the oracle;
 ``prove`` exits non-zero on any error-severity ``EQ`` finding — a
 replay-confirmed divergence with its shortest distinguishing input, or a
@@ -307,11 +306,7 @@ def _build_compressed_scan_engine(
             time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
         )
-    kind = type(engine.dfa).__name__  # type: ignore[attr-defined]
-    print(
-        f"compressed artifact: {len(blob)} bytes (depth<={depth}), "
-        f"decoded as {kind}"
-    )
+    print(f"compressed artifact: {len(blob)} bytes (depth<={depth})")
     if engine_choice == "fastpath":
         from ..fastpath import build_fastpath
 
@@ -333,8 +328,7 @@ def _cmd_scan(
 
     if compress:
         # Round-trip through the serialized compressed artifact so the scan
-        # exercises the same decode path a deployed data plane would use
-        # (flatten or chain-walk, per REPRO_DECODE/REPRO_DECODE_BUDGET).
+        # exercises the same decode path a deployed data plane would use.
         built = _build_compressed_scan_engine(set_name, engine_choice, compress, prefilter)
     else:
         built = build_engine(set_name, engine_choice)
@@ -578,23 +572,15 @@ def _cmd_rules(
     return 1 if failed else 0
 
 
-def _audit_one_set(set_name: str, depth: int, replay: bool):
-    """Adversarial worst-case audit of one shipped rule set.
-
-    Compiles with the D²FA artifact tier by default so every witness
-    class the analyzer knows about (chain-depth, cache-thrash,
-    prefilter-evasion, filter-churn) has a channel to target; a dense
-    compile would leave the chain-walk classes with nothing to audit.
-    """
+def _audit_one_set(set_name: str, replay: bool):
+    """Adversarial worst-case audit of one shipped rule set (dense compile)."""
     from ..analyze import AnalysisReport, analyze_adversary
     from ..analyze.report import ERROR
     from ..core import compile_mfa
     from .harness import STATE_BUDGET, patterns_for
 
     try:
-        mfa = compile_mfa(
-            patterns_for(set_name), state_budget=STATE_BUDGET, compress=depth
-        )
+        mfa = compile_mfa(patterns_for(set_name), state_budget=STATE_BUDGET)
     except Exception as exc:  # noqa: BLE001 - an uncompilable set is a finding
         report = AnalysisReport()
         report.add(
@@ -615,7 +601,6 @@ def _cmd_audit(
     audit_all: bool,
     json_out: bool,
     out_path: str | None,
-    depth: int,
     replay: bool,
 ) -> int:
     """Worst-case cost audit over rule sets and/or bundle files."""
@@ -636,7 +621,7 @@ def _cmd_audit(
     results = {}
     for name in targets:
         if name in all_set_names():
-            results[name] = _audit_one_set(name, depth, replay)
+            results[name] = _audit_one_set(name, replay)
         elif Path(name).exists():
             engine = loads_mfa(Path(name).read_bytes())
             results[name] = analyze_engine_adversary(engine, replay=replay)
@@ -988,7 +973,6 @@ def main(argv: list[str] | None = None) -> int:
             args.all,
             args.json,
             args.out,
-            args.compress or DEFAULT_CHAIN_DEPTH,
             not args.no_replay,
         )
     elif args.command == "prove":

@@ -9,14 +9,12 @@ it does not recognise.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from typing import BinaryIO, cast
 
 from ..automata.compress import CompressedDFA
 from ..automata.serialize import (
     CDFA_MAGIC,
-    decode_cdfa_header,
     dumps_cdfa,
     dumps_dfa,
     loads_cdfa,
@@ -24,11 +22,6 @@ from ..automata.serialize import (
 )
 from .filters import NONE, FilterAction, FilterProgram
 from .mfa import MFA
-
-# Decode-mode selection for compressed bundles (see loads_mfa).
-DECODE_ENV = "REPRO_DECODE"
-DECODE_BUDGET_ENV = "REPRO_DECODE_BUDGET"
-DEFAULT_DECODE_BUDGET = 64 * 1024 * 1024
 
 __all__ = [
     "BUNDLE_MAGIC",
@@ -176,60 +169,23 @@ def split_bundle(blob: "bytes | memoryview") -> tuple[bytes, "bytes | memoryview
     return program_bytes, dfa_bytes
 
 
-def resolve_decode_mode(decode: "str | None") -> tuple[str, int]:
-    """Normalise a decode-mode request to ``(mode, flatten_budget)``.
-
-    ``decode`` is one of ``auto``/``flatten``/``chain``; ``None`` reads
-    ``REPRO_DECODE`` (default ``auto``).  The budget — dense table bytes
-    below which ``auto`` flattens — comes from ``REPRO_DECODE_BUDGET``.
-    """
-    mode = decode if decode is not None else os.environ.get(DECODE_ENV, "auto")
-    mode = mode.strip().lower() or "auto"
-    if mode not in ("auto", "flatten", "chain"):
-        raise ValueError(f"decode mode must be auto/flatten/chain, got {mode!r}")
-    raw_budget = os.environ.get(DECODE_BUDGET_ENV, "").strip()
-    try:
-        budget = int(raw_budget) if raw_budget else DEFAULT_DECODE_BUDGET
-    except ValueError:
-        raise ValueError(
-            f"{DECODE_BUDGET_ENV} must be an integer byte count, got {raw_budget!r}"
-        ) from None
-    return mode, budget
-
-
-def loads_mfa(
-    blob: "bytes | memoryview", mmap: bool = False, decode: "str | None" = None
-) -> MFA:
+def loads_mfa(blob: "bytes | memoryview", mmap: bool = False) -> MFA:
     """Deserialise an MFA bundle (provenance/stats are not preserved).
 
     ``mmap=True`` keeps the DFA transition table as zero-copy views over
     the caller's buffer (see :func:`repro.automata.serialize.loads_dfa`);
     the buffer must outlive the returned engine.
 
-    A compressed (``MFADFA2``) DFA section is decoded per ``decode``:
-
-    - ``"flatten"`` reconstructs the dense table (byte-identical to the
-      pre-compression DFA) — full scan speed, full memory;
-    - ``"chain"`` returns an MFA over a
-      :class:`~repro.automata.compress.ChainDFA` that answers lookups
-      straight off the forest — an order of magnitude less memory, chain
-      walks per byte (the fastpath engine vectorizes these);
-    - ``"auto"`` (the default, also via ``REPRO_DECODE``) flattens when
-      the dense table fits ``REPRO_DECODE_BUDGET`` bytes (default 64 MB)
-      and chains otherwise.
-
-    Either way the forest is kept on ``mfa.compressed`` so a re-dump
-    reproduces the compressed bundle byte-for-byte.
+    A compressed (``MFADFA2``) DFA section is flattened back to the dense
+    table (byte-identical to the pre-compression DFA), so every engine
+    scans it at full speed.  The forest is kept on ``mfa.compressed`` so
+    a re-dump reproduces the compressed bundle byte-for-byte.
     """
     program_bytes, dfa_bytes, plan_bytes = _split_sections(blob)
     program = program_from_json(json.loads(program_bytes))
     if bytes(memoryview(dfa_bytes)[: len(CDFA_MAGIC)]) == CDFA_MAGIC:
-        mode, budget = resolve_decode_mode(decode)
         cdfa = loads_cdfa(dfa_bytes)
-        if mode == "auto":
-            mode = "flatten" if cdfa.n_states * 1024 <= budget else "chain"
-        dfa = cdfa.flatten() if mode == "flatten" else cdfa.to_chain_dfa()
-        mfa = MFA(dfa, program)
+        mfa = MFA(cdfa.flatten(), program)
         mfa.compressed = cdfa
     else:
         dfa = loads_dfa(dfa_bytes, mmap=mmap)

@@ -332,9 +332,7 @@ def compile_shards(
             ):
                 record_phases(sub_phases)
                 if ok:
-                    results[index] = ShardBuild(
-                        loads_mfa(blob, decode="flatten"), None, False, seconds
-                    )
+                    results[index] = ShardBuild(loads_mfa(blob), None, False, seconds)
                 else:
                     results[index] = ShardBuild(None, rebuild_error(blob), False, seconds)
     else:

@@ -142,10 +142,7 @@ class ArtifactCache:
             self.misses += 1
             return None
         try:
-            # Compile-side loads always flatten a compressed section: the
-            # pipeline wants full scan speed, and the forest stays attached
-            # for byte-identical re-serialisation.
-            mfa = loads_mfa(blob, decode="flatten")
+            mfa = loads_mfa(blob)
         except Exception:
             # A corrupt entry is a miss, and removing it stops every later
             # run from re-parsing garbage — but only the exact file we

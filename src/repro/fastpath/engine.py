@@ -77,17 +77,6 @@ _HIST_CELL_CAP = 1 << 22
 _PREFILTER_ENV = "REPRO_PREFILTER"
 _PREFILTER_MODES = ("on", "off", "auto")
 
-# Chain-walk mode: how many states get a materialised dense row in the
-# hot-state overlay cache (BFS from the start state).  IDS DFAs spend
-# almost all benign-traffic time within a few hops of the start, so a few
-# thousand dense rows (<= 4 MB premultiplied) resolve the vast majority of
-# lane steps without any forest walk — small change against the tens of
-# megabytes of dense table that chain mode exists to avoid.
-# ``REPRO_CHAIN_HOT`` overrides (tests force tiny caches to exercise the
-# cold walk; memory-desperate deployments can shrink it).
-_HOT_STATES = 4096
-_HOT_ENV = "REPRO_CHAIN_HOT"
-
 
 def _apply_ops(ops, memory, absolute: int, engine_process, append) -> None:
     """Run one state's decision ops against a flow's filter memory.
@@ -155,33 +144,15 @@ class FastPathMFA:
             raise ValueError(f"prefilter must be one of {_PREFILTER_MODES}, got {mode!r}")
         self.prefilter_mode = mode
         self._prefilter_runtime: PrefilterRuntime | None = None
-        # Why a requested prefilter is not running (None when it is, or was
-        # never requested/available).  Surfaced by ScanReport so chain-mode
-        # deployments see the drop instead of silently losing the stage.
-        self.prefilter_disabled: str | None = None
         self._vector_ready = False
-        # Chain-walk mode: set when the MFA's DFA is a forest-backed
-        # ChainDFA (compressed bundle loaded without flattening).  The
-        # lockstep step then resolves transitions through the hot-state
-        # cache plus a bounded vectorized chain walk instead of one dense
-        # premultiplied table.
-        self._chain = False
         if HAVE_NUMPY:
             self._build_tables()
-        # The prefiltered path gathers from the dense flat table, which
-        # chain mode deliberately never materialises; candidate windows
-        # would also defeat the hot-state cache's locality.  Chain mode is
-        # the memory-constrained configuration — it takes the classic walk.
-        if mode != "off" and self._vector_ready and not self._chain:
+        if mode != "off" and self._vector_ready:
             plan = mfa.prefilter
             if plan is None:
                 plan = build_prefilter(mfa)
             if plan is not None:
                 self._prefilter_runtime = PrefilterRuntime(plan)
-        elif mode != "off" and self._chain and mfa.prefilter is not None:
-            # The artifact carries a compiled plan the chain kernel cannot
-            # use — say so instead of dropping the stage without trace.
-            self.prefilter_disabled = "chain-decode"
 
     @property
     def prefilter_active(self) -> bool:
@@ -191,14 +162,9 @@ class FastPathMFA:
     # -- build ---------------------------------------------------------------
 
     def _build_tables(self) -> None:
-        from ..automata.compress import ChainDFA
-
         dfa = self.mfa.dfa
         n = dfa.n_states
         if n == 0:
-            return
-        if isinstance(dfa, ChainDFA):
-            self._build_chain_tables(dfa)
             return
         dense = _np.frombuffer(
             b"".join(row.tobytes() for row in dfa.rows), dtype=_np.int32
@@ -251,184 +217,6 @@ class FastPathMFA:
         self._scratch_key: tuple[int, int] | None = None
         self._vector_ready = True
 
-    def _build_chain_tables(self, dfa) -> None:
-        """Vector tables for a forest-backed ChainDFA (no dense flat table).
-
-        The same three-tier renumbering and premultiplied-id conventions as
-        the dense build (so the stitch and filter phases run unchanged),
-        but transitions are answered from three structures instead of one
-        gather: a hot-state dense cache (BFS-nearest states to the start,
-        one materialised row each), a sorted ``rid*256+byte -> target``
-        overlay array binary-searched per chain hop, and premultiplied
-        per-rid parent/root maps for the bounded walk.  Byte-class
-        compression is skipped — the forest is keyed by raw byte, and the
-        hot cache absorbs the column blow-up.
-        """
-        forest = dfa.forest
-        n = forest.n_states
-        ops_table = self.mfa._ops
-        tier = _np.zeros(n, dtype=_np.int8)
-        for q, ops in enumerate(ops_table):
-            if ops is not None:
-                tier[q] = 1 if type(ops) is list else 2
-        order = _np.concatenate(
-            [_np.nonzero(tier == 0)[0], _np.nonzero(tier == 1)[0], _np.nonzero(tier == 2)[0]]
-        ).astype(_np.int64)
-        perm = _np.empty(n, dtype=_np.int64)
-        perm[order] = _np.arange(n, dtype=_np.int64)
-        ncols = 256
-        dtype = _np.int32
-        self._ncols = ncols
-        self._dtype = dtype
-        n_plain = int((tier == 0).sum())
-        n_mask = int((tier == 1).sum())
-        self._thr_any = n_plain * ncols
-        self._thr_full = (n_plain + n_mask) * ncols
-        self._perm_p = (perm * ncols).tolist()
-        self._inv = order.tolist()
-        self._ops_by_rid = [ops_table[q] for q in self._inv]
-        self._start_p = int(perm[forest.start]) * ncols
-        self._byte_map = _np.arange(256, dtype=dtype)
-        self._translate = None
-        self._scratch_key = None
-
-        # Renumbered, premultiplied forest.  parent_p/root_slot are indexed
-        # by rid; a root's parent_p cell is never read (the walk answers at
-        # the root first), so zero is a safe fill.
-        parent = _np.frombuffer(forest.parent.tobytes(), dtype=_np.int32).astype(_np.int64)
-        has_parent = parent >= 0
-        parent_p = _np.zeros(n, dtype=_np.int64)
-        parent_p[perm] = _np.where(has_parent, perm[_np.maximum(parent, 0)] * ncols, 0)
-        root_index = _np.frombuffer(
-            forest.root_index.tobytes(), dtype=_np.int32
-        ).astype(_np.int64)
-        root_slot = _np.full(n, -1, dtype=_np.int64)
-        root_slot[perm] = root_index
-        root_orig = _np.frombuffer(
-            b"".join(bytes(memoryview(row)) for row in forest.root_rows),
-            dtype=_np.int32,
-        ).astype(_np.int64)
-        root_flat = (perm[root_orig] * ncols).astype(dtype)
-
-        perm_l = perm.tolist()
-        key_list: list[int] = []
-        val_list: list[int] = []
-        for q, overlay in enumerate(forest.overlays):
-            base = perm_l[q] * ncols
-            for byte, target in overlay.items():
-                key_list.append(base + byte)
-                val_list.append(perm_l[target] * ncols)
-        ov_keys = _np.asarray(key_list, dtype=_np.int64)
-        ov_vals = _np.asarray(val_list, dtype=dtype)
-        sort = _np.argsort(ov_keys, kind="stable")
-        self._ov_keys = ov_keys[sort]
-        self._ov_vals = ov_vals[sort]
-        self._parent_p = parent_p
-        self._root_slot = root_slot
-        self._root_flat = root_flat
-
-        # Hot-state dense overlay cache: BFS from the start state, one
-        # materialised (root-row copy + overlay patches down the chain)
-        # premultiplied row per hot state.
-        f_parent = forest.parent
-        f_root_index = forest.root_index
-        f_root_rows = forest.root_rows
-        f_overlays = forest.overlays
-
-        def row_of(q: int) -> list[int]:
-            path = []
-            cur = q
-            while f_parent[cur] >= 0:
-                path.append(cur)
-                cur = f_parent[cur]
-            row = list(f_root_rows[f_root_index[cur]])
-            for state in reversed(path):
-                for byte, target in f_overlays[state].items():
-                    row[byte] = target
-            return row
-
-        hot_cap = min(n, int(os.environ.get(_HOT_ENV, "") or _HOT_STATES))
-        seen = bytearray(n)
-        seen[forest.start] = 1
-        queue = [forest.start]
-        head = 0
-        hot_rows: list[list[int]] = []
-        hot_orig: list[int] = []
-        while head < len(queue) and len(hot_orig) < hot_cap:
-            q = queue[head]
-            head += 1
-            row = row_of(q)
-            hot_orig.append(q)
-            hot_rows.append(row)
-            for target in row:
-                if not seen[target]:
-                    seen[target] = 1
-                    queue.append(target)
-        # hot ids stored premultiplied (row offset into hot_flat) with a
-        # negative sentinel for cold rids: the step is then one take + add.
-        hot_id = _np.full(n, -ncols, dtype=_np.int64)
-        for h, q in enumerate(hot_orig):
-            hot_id[perm_l[q]] = h * ncols
-        self._hot_id = hot_id
-        self._hot_flat = (
-            perm[_np.asarray(hot_rows, dtype=_np.int64).ravel()] * ncols
-        ).astype(dtype)
-        self._all_hot = len(hot_orig) == n
-        self._chain = True
-        self._vector_ready = True
-
-    def _chain_step(self, states, crow, out) -> None:
-        """One lockstep position in chain mode: hot-cache gather for cached
-        lanes, bounded vectorized forest walk for the rest.
-
-        ``states`` holds premultiplied renumbered ids (rid * 256), so
-        ``states + byte`` is simultaneously the overlay key and — via
-        ``>> 8`` — the rid.  The cold walk mirrors the scalar
-        ``CompressedDFA.next_state`` loop with the unresolved lane set
-        shrinking at each hop; every chain ends at a root within the
-        compile-time depth bound, so the loop is bounded."""
-        rid = states >> 8
-        idx = self._hot_id.take(rid)
-        idx += crow
-        self._hot_flat.take(idx, mode="clip", out=out)  # cold lanes clip to 0
-        if self._all_hot:
-            return
-        cold_idx = _np.flatnonzero(idx < 0)
-        if not cold_idx.size:
-            return
-        keys = (states[cold_idx].astype(_np.int64)) + crow[cold_idx]
-        pending = cold_idx
-        ov_keys = self._ov_keys
-        ov_vals = self._ov_vals
-        root_slot = self._root_slot
-        root_flat = self._root_flat
-        parent_p = self._parent_p
-        while pending.size:
-            if ov_keys.size:
-                pos = _np.searchsorted(ov_keys, keys)
-                pos_c = _np.minimum(pos, ov_keys.size - 1)
-                found = ov_keys[pos_c] == keys
-                if found.any():
-                    out[pending[found]] = ov_vals[pos_c[found]]
-                    rest = ~found
-                    pending = pending[rest]
-                    keys = keys[rest]
-                    if not pending.size:
-                        return
-            rid_c = keys >> 8
-            byte_c = keys & 255
-            slot = root_slot[rid_c]
-            is_root = slot >= 0
-            if is_root.any():
-                out[pending[is_root]] = root_flat[(slot[is_root] << 8) + byte_c[is_root]]
-                deeper = ~is_root
-                pending = pending[deeper]
-                if not pending.size:
-                    return
-                rid_c = rid_c[deeper]
-                byte_c = byte_c[deeper]
-            keys = parent_p[rid_c] + byte_c
-
     def _scratch(self, segment: int, m: int):
         """Reusable per-shape work arrays (steady batches alloc nothing)."""
         if self._scratch_key != (segment, m):
@@ -448,23 +236,10 @@ class FastPathMFA:
         return self.mfa.n_states
 
     def memory_bytes(self) -> int:
-        """The scalar MFA image plus the lockstep tables (dense flat table,
-        or the chain-mode forest arrays and hot-state cache)."""
+        """The scalar MFA image plus the flattened lockstep table."""
         extra = 0
         if self._vector_ready:
-            if self._chain:
-                extra = (
-                    self._hot_flat.nbytes
-                    + self._hot_id.nbytes
-                    + self._root_flat.nbytes
-                    + self._root_slot.nbytes
-                    + self._parent_p.nbytes
-                    + self._ov_keys.nbytes
-                    + self._ov_vals.nbytes
-                    + self._byte_map.nbytes
-                )
-            else:
-                extra = self._flat.nbytes + self._byte_map.nbytes
+            extra = self._flat.nbytes + self._byte_map.nbytes
         return self.mfa.memory_bytes() + extra
 
     def filter_bytes(self) -> int:
@@ -557,20 +332,13 @@ class FastPathMFA:
             if n_lanes_per[f]:  # lane 0 starts from the flow's true state
                 states[starts[f]] = perm_p[contexts[f].state]
 
-        # -- lockstep phase: one flat gather per position across every lane
-        # (or, in chain mode, a hot-cache gather plus bounded forest walk).
-        if self._chain:
-            chain_step = self._chain_step
-            for crow, hrow in zip(list(cols), list(hist)):
-                chain_step(states, crow, hrow)
-                states = hrow
-        else:
-            flat = self._flat
-            for crow, hrow in zip(list(cols), list(hist)):
-                _np.add(states, crow, out=idx)
-                # Indices are valid by construction; 'clip' skips bounds checks.
-                flat.take(idx, out=hrow, mode="clip")
-                states = hrow
+        # -- lockstep phase: one flat gather per position across every lane.
+        flat = self._flat
+        for crow, hrow in zip(list(cols), list(hist)):
+            _np.add(states, crow, out=idx)
+            # Indices are valid by construction; 'clip' skips bounds checks.
+            flat.take(idx, out=hrow, mode="clip")
+            states = hrow
 
         ends = hist[lane_len_arr - 1, _np.arange(m)].tolist()
 

@@ -565,9 +565,6 @@ def resilient_scan(
     if isinstance(mode, str):
         report.prefilter_mode = mode
         report.prefilter_active = bool(getattr(engine, "prefilter_active", False))
-        disabled = getattr(engine, "prefilter_disabled", None)
-        if isinstance(disabled, str):
-            report.prefilter_disabled = disabled
     alerts: list[FlowMatch] = []
     batching = bool(batch_size and batch_size > 1 and hasattr(engine, "run_batch"))
     pending: list[Flow] = []

@@ -222,10 +222,6 @@ class ScanReport:
     # and whether a compiled plan was actually active at scan time.
     prefilter_mode: str | None = None
     prefilter_active: bool = False
-    # Why a requested prefilter was not active (e.g. "chain-decode" when
-    # the compressed artifact was loaded without flattening, which the
-    # chain kernel cannot prefilter).  None when active or never requested.
-    prefilter_disabled: str | None = None
 
     @property
     def degraded(self) -> bool:
@@ -264,7 +260,6 @@ class ScanReport:
             "prefilter": {
                 "mode": self.prefilter_mode,
                 "active": self.prefilter_active,
-                "disabled": self.prefilter_disabled,
             },
         }
 
@@ -275,8 +270,6 @@ class ScanReport:
         ]
         if self.prefilter_mode is not None:
             state = "active" if self.prefilter_active else "inactive"
-            if self.prefilter_disabled is not None:
-                state += f", auto-disabled: {self.prefilter_disabled}"
             lines.append(f"prefilter: {self.prefilter_mode} ({state})")
         if self.assembler.any_dropped():
             lines.append(

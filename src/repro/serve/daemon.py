@@ -85,8 +85,8 @@ class ServeConfig:
     prefilter: str = "auto"
     # Default-transition compression of the shared-memory bundles: a
     # chain-depth bound (0 = dense).  Workers map the compressed image
-    # zero-copy and decode per-worker (flatten or chain-walk per
-    # REPRO_DECODE), so N workers share one small artifact segment.
+    # zero-copy and flatten it per-worker, so N workers share one small
+    # artifact segment.
     compress: int = 0
     # Two 64-flow batches (FastPathMFA.batch_hint): one scanning, one
     # queued behind it.

@@ -141,8 +141,7 @@ def load_engine_from_buffer(
 
     Compressed bundles (``MFADFA2`` DFA sections, ``ServeConfig.compress``)
     stay zero-copy in the *segment*: every worker maps the same small
-    compressed image and decodes per-process — flatten or chain-walk, per
-    ``REPRO_DECODE``/``REPRO_DECODE_BUDGET`` — into private working
+    compressed image and flattens it per-process into private working
     tables, so the shared artifact footprint is the compressed size.
     """
     _header, views = unpack_bundles(buffer)

@@ -18,18 +18,18 @@ from repro.analyze import (
     analyze_engine_adversary,
 )
 from repro.bench.harness import patterns_for
-from repro.core import compile_mfa
+from repro.core import compile_mfa, dumps_mfa, loads_mfa
 
 
 @pytest.fixture(scope="module")
-def compressed_c8():
-    """C8 with the D²FA tier: forest + prefilter plan, every channel live."""
-    return compile_mfa(patterns_for("C8"), compress=4)
+def c8():
+    """C8 dense: a prefilter plan and filter programs, every channel live."""
+    return compile_mfa(patterns_for("C8"))
 
 
 @pytest.fixture(scope="module")
-def audit_c8(compressed_c8):
-    return analyze_adversary(compressed_c8, replay=False)
+def audit_c8(c8):
+    return analyze_adversary(c8, replay=False)
 
 
 class TestWitnessSynthesis:
@@ -44,9 +44,8 @@ class TestWitnessSynthesis:
 
     def test_witness_codes_match_kinds(self, audit_c8):
         by_kind = {w.kind: w.code for w in audit_c8.witnesses}
-        assert by_kind["chain-depth"] == "AV101"
         assert by_kind["prefilter-evasion"] == "AV102"
-        assert by_kind["cache-thrash"] == "AV103"
+        assert by_kind["filter-churn"] == "AV104"
 
     def test_every_witness_has_a_finding(self, audit_c8):
         codes = {f.code for f in audit_c8.report}
@@ -60,38 +59,28 @@ class TestWitnessSynthesis:
             assert doc["length"] == len(witness.payload)
             assert doc["digest"] == witness.digest
 
-    def test_synthesis_is_deterministic(self, compressed_c8, audit_c8):
-        again = analyze_adversary(compressed_c8, replay=False)
+    def test_synthesis_is_deterministic(self, c8, audit_c8):
+        again = analyze_adversary(c8, replay=False)
         assert [w.to_dict() for w in again.witnesses] == [
             w.to_dict() for w in audit_c8.witnesses
         ]
         assert again.report.to_json() == audit_c8.report.to_json()
 
-    def test_chain_disabled_prefilter_is_surfaced(self, audit_c8):
-        # The artifact carries both a forest and a compiled plan, so the
-        # chain-decode configuration silently loses the prefilter: AV110.
-        assert any(f.code == "AV110" for f in audit_c8.report)
-
-    def test_hot_cap_override_stresses_cache(self, compressed_c8):
-        result = analyze_adversary(compressed_c8, replay=False, hot_cap=2)
-        thrash = result.witness("cache-thrash")
-        assert thrash is not None
-        assert thrash.params["hot_cap"] == 2
-
-    def test_dense_mfa_skips_chain_classes(self):
-        mfa = compile_mfa(["alpha.*beta", "gamma"])
-        result = analyze_adversary(mfa, replay=False)
-        kinds = {w.kind for w in result.witnesses}
-        assert "chain-depth" not in kinds
-        assert "cache-thrash" not in kinds
-        assert any(f.code == "AV130" for f in result.report)
+    def test_zero_copy_load_audits_like_compiled(self, c8, audit_c8):
+        # mmap=True leaves the transition rows as memoryviews over the blob.
+        loaded = loads_mfa(dumps_mfa(c8), mmap=True)
+        again = analyze_adversary(loaded, replay=False)
+        assert [w.to_dict() for w in again.witnesses] == [
+            w.to_dict() for w in audit_c8.witnesses
+        ]
+        assert again.report.to_json() == audit_c8.report.to_json()
 
 
 class TestReplay:
     @pytest.fixture(scope="class")
-    def replayed(self, compressed_c8):
+    def replayed(self, c8):
         return analyze_adversary(
-            compressed_c8, replay=True, replay_bytes=4096, best_of=1
+            c8, replay=True, replay_bytes=4096, best_of=1
         )
 
     def test_zero_stream_diffs(self, replayed):
@@ -117,15 +106,15 @@ class TestReplay:
 
 
 class TestEngineScoping:
-    def test_mfa_delegates(self, compressed_c8, audit_c8):
-        result = analyze_engine_adversary(compressed_c8, replay=False)
+    def test_mfa_delegates(self, c8, audit_c8):
+        result = analyze_engine_adversary(c8, replay=False)
         assert {w.kind for w in result.witnesses} == {
             w.kind for w in audit_c8.witnesses
         }
 
-    def test_sharded_engine_relocates_findings(self, compressed_c8):
+    def test_sharded_engine_relocates_findings(self, c8):
         class Sharded:
-            shards = [compressed_c8]
+            shards = [c8]
 
         result = analyze_engine_adversary(Sharded(), replay=False)
         assert result.witnesses
@@ -139,9 +128,9 @@ class TestEngineScoping:
         codes = [f.code for f in result.report]
         assert codes == ["AV120"]
 
-    def test_external_report_is_extended(self, compressed_c8):
+    def test_external_report_is_extended(self, c8):
         report = AnalysisReport()
-        result = analyze_adversary(compressed_c8, report, replay=False)
+        result = analyze_adversary(c8, report, replay=False)
         assert result.report is report
         assert any(f.code == "AV130" for f in report)
 

@@ -95,17 +95,17 @@ class TestAuditCommand:
     def audit_result(self):
         from repro.analyze import analyze_adversary
 
-        mfa = compile_mfa(patterns_for("C8"), compress=4)
+        mfa = compile_mfa(patterns_for("C8"))
         return analyze_adversary(mfa, replay=False)
 
     def test_static_audit_exits_zero(self, monkeypatch, audit_result, capsys):
         monkeypatch.setattr(
             "repro.bench.cli._audit_one_set",
-            lambda name, depth, replay: audit_result,
+            lambda name, replay: audit_result,
         )
         assert main(["audit", "C8", "--no-replay"]) == 0
         out = capsys.readouterr().out
-        assert "witness chain-depth" in out
+        assert "witness prefilter-evasion" in out
         assert "AV130" in out
 
     def test_json_output_carries_witness_corpus(
@@ -113,12 +113,12 @@ class TestAuditCommand:
     ):
         monkeypatch.setattr(
             "repro.bench.cli._audit_one_set",
-            lambda name, depth, replay: audit_result,
+            lambda name, replay: audit_result,
         )
         assert main(["audit", "C8", "--no-replay", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         kinds = {w["kind"] for w in payload["C8"]["witnesses"]}
-        assert {"chain-depth", "cache-thrash", "prefilter-evasion"} <= kinds
+        assert {"prefilter-evasion", "filter-churn"} <= kinds
         for witness in payload["C8"]["witnesses"]:
             assert bytes.fromhex(witness["payload_hex"])
 
@@ -127,7 +127,7 @@ class TestAuditCommand:
     ):
         monkeypatch.setattr(
             "repro.bench.cli._audit_one_set",
-            lambda name, depth, replay: audit_result,
+            lambda name, replay: audit_result,
         )
         corpus = tmp_path / "witnesses.json"
         assert main(["audit", "C8", "--no-replay", "--out", str(corpus)]) == 0
@@ -143,7 +143,7 @@ class TestAuditCommand:
         failed.add("AV106", ERROR, "adversary", "stream diverged", "replay")
         monkeypatch.setattr(
             "repro.bench.cli._audit_one_set",
-            lambda name, depth, replay: AdversaryResult(failed),
+            lambda name, replay: AdversaryResult(failed),
         )
         assert main(["audit", "C8"]) == 1
         assert "AV106" in capsys.readouterr().out

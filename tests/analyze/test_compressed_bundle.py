@@ -121,17 +121,14 @@ class TestCorruptedSections:
         assert {f.code for f in report} <= {"BN101", "BN107"}
 
     def test_prover_accepts_compressed_loads(self, compressed_bundle):
-        # The equivalence prover runs over both decode shapes of a
-        # compressed load: the flattened DFA and the ChainDFA proxy rows.
+        # The equivalence prover runs over a compressed load's flattened DFA.
         from repro.analyze import analyze_engine_equivalence
         from repro.core.serialize import loads_mfa
         from repro.regex import parse_many
 
-        patterns = parse_many(RULES)
-        for mode in ("flatten", "chain"):
-            engine = loads_mfa(compressed_bundle, decode=mode)
-            report = analyze_engine_equivalence(engine, patterns)
-            assert not report.has_errors, (mode, report.describe())
+        engine = loads_mfa(compressed_bundle)
+        report = analyze_engine_equivalence(engine, parse_many(RULES))
+        assert not report.has_errors, report.describe()
 
     def test_no_corruption_crashes(self, compressed_bundle):
         # Sweep single-byte corruptions across the compressed section; every

@@ -30,7 +30,7 @@ def _emitted_codes() -> set[str]:
 def test_analyzer_sources_emit_codes():
     codes = _emitted_codes()
     assert len(codes) > 20  # the suite emits dozens; zero means the regex broke
-    assert "AV101" in codes and "EQ101" in codes and "RS101" in codes
+    assert "AV102" in codes and "EQ101" in codes and "RS101" in codes
 
 
 def test_every_emitted_code_has_a_registry_row():

@@ -1,9 +1,9 @@
 """The compressed (``MFADFA2``) artifact tier and bundle version negotiation.
 
 Three layers under test: the forest codec itself (byte-determinism and
-section exactness), the bundle-level decode-mode negotiation
-(``flatten``/``chain``/``auto`` + ``REPRO_DECODE``/``REPRO_DECODE_BUDGET``),
-and backward compatibility — the committed old-format dense fixtures must
+section exactness), the bundle-level compressed load (flattened to a dense
+table, forest kept for re-dumps, every engine scanning it unchanged), and
+backward compatibility — the committed old-format dense fixtures must
 load unchanged and re-serialise byte-for-byte.
 """
 
@@ -13,22 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.compress import ChainDFA, CompressedDFA
+from repro.automata.compress import CompressedDFA
 from repro.automata.dfa import DFA
 from repro.automata.serialize import dumps_cdfa, dumps_dfa, loads_cdfa
 from repro.core import compile_mfa
-from repro.core.serialize import (
-    DECODE_BUDGET_ENV,
-    DECODE_ENV,
-    dumps_mfa,
-    loads_mfa,
-    resolve_decode_mode,
-)
+from repro.core.serialize import dumps_mfa, loads_mfa
+from repro.fastpath import HAVE_NUMPY, build_fastpath
 
 RULES = [".*aa.*bb", ".*cc[^\\n]*dd", ".*ee.{1,4}ffq", "^GET /x", "plain"]
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "bundles"
 
 PAYLOADS = (b"aa.bb", b"cc x dd", b"ee12ffq", b"GET /x", b"plain", b"zzz", b"")
+LONG_PAYLOADS = (b"zzz" * 40, b"aa" + b"." * 100 + b"bb", b"x" * 300 + b"cc-dd")
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="fastpath needs numpy")
 
 
 @pytest.fixture(scope="module")
@@ -60,58 +58,43 @@ class TestForestCodec:
             loads_cdfa(b"NOTDFA2\n" + b"\x00" * 64)
 
 
-class TestDecodeModes:
-    def test_flatten_gives_dense_dfa(self, cmfa):
-        restored = loads_mfa(dumps_mfa(cmfa), decode="flatten")
-        assert type(restored.dfa) is DFA
-        assert restored.compressed is not None
+class TestCompressedLoad:
+    """A compressed bundle loads as a dense DFA that keeps its forest."""
 
-    def test_chain_gives_chain_dfa(self, cmfa):
-        restored = loads_mfa(dumps_mfa(cmfa), decode="chain")
-        assert isinstance(restored.dfa, ChainDFA)
+    @pytest.fixture(scope="class")
+    def restored(self, cmfa):
+        return loads_mfa(dumps_mfa(cmfa))
+
+    def test_load_gives_dense_dfa_and_keeps_forest(self, restored):
+        assert type(restored.dfa) is DFA
         assert isinstance(restored.compressed, CompressedDFA)
 
-    def test_auto_honours_budget(self, cmfa, monkeypatch):
-        blob = dumps_mfa(cmfa)
-        monkeypatch.setenv(DECODE_BUDGET_ENV, "1")
-        assert isinstance(loads_mfa(blob).dfa, ChainDFA)
-        monkeypatch.setenv(DECODE_BUDGET_ENV, str(64 * 1024 * 1024))
-        assert type(loads_mfa(blob).dfa) is DFA
+    def test_redump_reproduces_compressed_bundle(self, cmfa, restored):
+        assert dumps_mfa(restored) == dumps_mfa(cmfa)
 
-    def test_env_selects_mode(self, cmfa, monkeypatch):
-        blob = dumps_mfa(cmfa)
-        monkeypatch.setenv(DECODE_ENV, "chain")
-        assert isinstance(loads_mfa(blob).dfa, ChainDFA)
-        monkeypatch.setenv(DECODE_ENV, "flatten")
-        assert type(loads_mfa(blob).dfa) is DFA
-
-    def test_bad_mode_refused(self):
-        with pytest.raises(ValueError, match="auto/flatten/chain"):
-            resolve_decode_mode("turbo")
-
-    def test_bad_budget_refused(self, monkeypatch):
-        monkeypatch.setenv(DECODE_BUDGET_ENV, "lots")
-        with pytest.raises(ValueError, match=DECODE_BUDGET_ENV):
-            resolve_decode_mode("auto")
-
-    @pytest.mark.parametrize("mode", ["flatten", "chain"])
-    def test_redump_reproduces_compressed_bundle(self, cmfa, mode):
-        blob = dumps_mfa(cmfa)
-        assert dumps_mfa(loads_mfa(blob, decode=mode)) == blob
-
-    @pytest.mark.parametrize("mode", ["flatten", "chain"])
-    def test_match_streams_identical(self, cmfa, dense_mfa, mode):
-        restored = loads_mfa(dumps_mfa(cmfa), decode=mode)
-        for payload in PAYLOADS:
+    def test_match_streams_identical(self, restored, dense_mfa):
+        for payload in PAYLOADS + LONG_PAYLOADS:
             assert sorted(restored.run(payload)) == sorted(dense_mfa.run(payload))
 
-    def test_chain_streaming_feed(self, cmfa, dense_mfa):
-        restored = loads_mfa(dumps_mfa(cmfa), decode="chain")
+    def test_streaming_feed(self, restored, dense_mfa):
         context = restored.new_context()
         events = list(restored.feed(context, b"aa."))
         events += list(restored.feed(context, b"bb"))
         events += list(restored.finish(context))
         assert sorted(events) == sorted(dense_mfa.run(b"aa.bb"))
+
+    @needs_numpy
+    def test_fastpath_keeps_the_prefilter(self, restored):
+        assert restored.prefilter is not None  # the plan made the trip
+        assert build_fastpath(restored, prefilter="auto").prefilter_active
+
+    @needs_numpy
+    def test_fastpath_batch_stream_matches_dense(self, restored, dense_mfa):
+        payloads = list(PAYLOADS + LONG_PAYLOADS)
+        want = [dense_mfa.run(p) for p in payloads]
+        for prefilter in ("auto", "off"):
+            engine = build_fastpath(restored, prefilter=prefilter)
+            assert engine.run_batch(payloads) == want, prefilter
 
 
 class TestVersionNegotiation:
@@ -144,15 +127,5 @@ class TestVersionNegotiation:
 @settings(max_examples=30, deadline=None)
 def test_compressed_load_equivalent_property(data):
     dense = compile_mfa(RULES)
-    blob = dumps_mfa(compile_mfa(RULES, compress=2))
-    for mode in ("flatten", "chain"):
-        restored = loads_mfa(blob, decode=mode)
-        assert sorted(restored.run(data)) == sorted(dense.run(data)), (mode, data)
-
-
-def test_decode_env_defaults_are_auto(monkeypatch):
-    monkeypatch.delenv(DECODE_ENV, raising=False)
-    monkeypatch.delenv(DECODE_BUDGET_ENV, raising=False)
-    mode, budget = resolve_decode_mode(None)
-    assert mode == "auto"
-    assert budget == 64 * 1024 * 1024
+    restored = loads_mfa(dumps_mfa(compile_mfa(RULES, compress=2)))
+    assert sorted(restored.run(data)) == sorted(dense.run(data)), data

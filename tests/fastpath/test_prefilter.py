@@ -321,9 +321,7 @@ class TestReportPlumbing:
         alerts, report = resilient_scan(engine, packets, batch_size=4)
         assert report.prefilter_mode == "on"
         assert report.prefilter_active is True
-        assert report.to_dict()["prefilter"] == {
-            "mode": "on", "active": True, "disabled": None,
-        }
+        assert report.to_dict()["prefilter"] == {"mode": "on", "active": True}
         assert any("prefilter: on (active)" in line for line in report.describe())
         assert alerts  # HELO matched
 
@@ -332,9 +330,7 @@ class TestReportPlumbing:
 
         _alerts, report = resilient_scan(mfa, [])
         assert report.prefilter_mode is None
-        assert report.to_dict()["prefilter"] == {
-            "mode": None, "active": False, "disabled": None,
-        }
+        assert report.to_dict()["prefilter"] == {"mode": None, "active": False}
 
     def test_serve_config_validates_prefilter(self):
         from repro.serve import ServeConfig
