@@ -13,6 +13,13 @@ MFA (``replay(mfa, ...)``) and in lockstep batches of
 Per-flow alert differences between the two replays count as stream
 diffs.
 
+The ingest row times what comes before any engine: pcap decode and flow
+reassembly of the C11-profile capture, per packet, in capture order and
+after ``reorder_packets``, with the share of TCP flows whose segments
+arrived in order (those are joined once instead of sorted).  Flows decoded
+from either capture that differ from the flows assembled directly from
+the written packets count as ingest diffs.
+
 Also exercises the compiled-artifact cache: the engine is obtained via
 ``compile_mfa_cached`` and the hit/miss outcome plus load time land in
 the emitted ``BENCH_fastpath.json``.
@@ -21,9 +28,9 @@ Run directly (CI does)::
 
     python benchmarks/bench_fastpath.py --quick
 
-Exits non-zero if the fastpath engine fails fidelity, or if either the
-fastpath batch scan or the batched replay is *slower* than its scalar
-counterpart — a regression guard, not a tuning target; see
+Exits non-zero if the fastpath engine or ingest fails fidelity, or if
+either the fastpath batch scan or the batched replay is *slower* than
+its scalar counterpart — a regression guard, not a tuning target; see
 docs/performance.md for the expected margins.
 """
 
@@ -136,6 +143,69 @@ def replay_diffs(batched, scalar) -> int:
     return sum(1 for key in got.keys() | want.keys() if got.get(key) != want.get(key))
 
 
+def ingest_row(set_name: str, best_of: int) -> dict:
+    """Decode and reassembly cost of the C11 capture, in order and after
+    ``reorder_packets``, and the number of flows either gets wrong."""
+    from io import BytesIO
+
+    from repro.bench.harness import patterns_for
+    from repro.robust.faults import reorder_packets
+    from repro.traffic import (
+        PROFILES,
+        FlowAssembler,
+        PcapStats,
+        corpus_packets,
+        read_pcap,
+        write_pcap,
+    )
+
+    def assemble(packets) -> tuple[list, FlowAssembler]:
+        assembler = FlowAssembler()
+        assembler.add_all(packets)
+        return [(flow.key, flow.payload) for flow in assembler.flows()], assembler
+
+    profile = next(p for p in PROFILES if p.name == "C11")
+    written = corpus_packets(profile, patterns_for(set_name), seed=2016)
+    in_order = dict(assemble(written)[0])
+    row: dict = {}
+    diffs = 0
+    for name, packets in (
+        ("in_order", written),
+        ("reordered", reorder_packets(written, seed=2016)),
+    ):
+        out = BytesIO()
+        write_pcap(out, packets)
+        blob = out.getvalue()
+        decode_s = reassemble_s = float("inf")
+        for _ in range(best_of):
+            start = time.perf_counter()
+            decoded = list(read_pcap(BytesIO(blob), errors="skip", stats=PcapStats()))
+            middle = time.perf_counter()
+            flows, assembler = assemble(decoded)
+            stop = time.perf_counter()
+            decode_s = min(decode_s, middle - start)
+            reassemble_s = min(reassemble_s, stop - middle)
+        # Exact flows of the packets as written, in order; and the same
+        # payload per key whichever way the segments arrived.
+        want = assemble(packets)[0]
+        diffs += sum(1 for got, expected in zip(flows, want) if got != expected)
+        diffs += abs(len(flows) - len(want))
+        diffs += sum(1 for key, payload in flows if in_order.get(key) != payload)
+        # The assembler's own rule decides which TCP flows are joined once.
+        tcp = [segments for segments in assembler._tcp.values() if segments]
+        joined = sum(map(FlowAssembler._in_order, tcp))
+        row[name] = {
+            "packets": len(decoded),
+            "flows": len(flows),
+            "tcp_in_order": round(joined / max(1, len(tcp)), 3),
+            "decode_us_per_packet": round(decode_s / len(decoded) * 1e6, 2),
+            "reassemble_us_per_packet": round(reassemble_s / len(decoded) * 1e6, 2),
+        }
+    row["best_of"] = best_of
+    row["flow_diffs"] = diffs
+    return row
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--set", dest="set_name", default="C8", help="rule set")
@@ -206,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     diffs += replay_diffs(batched_stats, scalar_stats)
     replay_speedup = replay_fast / replay_scalar if replay_scalar else 0.0
 
+    ingest = ingest_row(args.set_name, 5 if args.quick else 20)
+
     doc = {
         "set": args.set_name,
         "quick": args.quick,
@@ -224,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
             "batched_mb_s": round(replay_fast, 3),
             "speedup": round(replay_speedup, 2),
         },
+        "ingest": ingest,
         "match_events": events,
         "stream_diffs": diffs,
         "cache": {
@@ -243,8 +316,19 @@ def main(argv: list[str] | None = None) -> int:
         f"in {batched_stats.n_batches} batches); {events} events, {diffs} stream "
         f"diffs [cache {'hit' if cache_hit else 'miss'} {compile_seconds:.2f}s] -> {out}"
     )
+    for name in ("in_order", "reordered"):
+        layer = ingest[name]
+        print(
+            f"ingest {name}: {layer['packets']} packets, {layer['flows']} flows, "
+            f"decode {layer['decode_us_per_packet']:.2f} us/packet, reassembly "
+            f"{layer['reassemble_us_per_packet']:.2f} us/packet, "
+            f"{layer['tcp_in_order']:.0%} of TCP flows in order"
+        )
     if diffs:
         print("FAIL: fastpath match stream diverged from scalar", file=sys.stderr)
+        return 1
+    if ingest["flow_diffs"]:
+        print("FAIL: decoded flows differ from the written packets' flows", file=sys.stderr)
         return 1
     if HAVE_NUMPY and fast < scalar:
         print("FAIL: fastpath slower than the scalar engine", file=sys.stderr)

@@ -811,11 +811,12 @@ def serve_scan(
         packets = iter(capture)
 
     assembler = FlowAssembler(limits=limits, on_evict=submit_flow)
+    n_packets = 0
     for packet in packets:
-        with daemon._lock:
-            report.n_packets += 1
+        n_packets += 1
         assembler.add(packet)
     with daemon._lock:
+        report.n_packets += n_packets
         report.assembler.flows_evicted += assembler.stats.flows_evicted
         report.assembler.bytes_evicted += assembler.stats.bytes_evicted
         report.assembler.segments_dropped += assembler.stats.segments_dropped

@@ -18,7 +18,7 @@ one poisoned flow abort a multiplexed scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..automata.nfa import MatchEvent
 
@@ -41,9 +41,13 @@ _SEQ_MOD = 1 << 32
 _SEQ_HALF = 1 << 31
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class FiveTuple:
-    """Flow key: protocol plus both endpoints."""
+class FiveTuple(NamedTuple):
+    """Flow key: protocol plus both endpoints.
+
+    A tuple, so the several dict operations each packet costs hash and
+    compare it in C; it sorts field by field and compares equal to the
+    plain tuple of its fields.
+    """
 
     proto: int
     src_ip: str
@@ -115,6 +119,12 @@ class FlowAssembler:
     Out-of-order segments are buffered; duplicate and overlapping bytes are
     dropped in favour of the first copy seen (the common IDS policy).  UDP
     and unknown protocols are concatenated in arrival order.
+
+    Most TCP flows arrive in order: each stored segment starts where the
+    one before it ended, within 2^31 bytes of the first (the RFC 1982
+    half-window).  Such a flow is finalized with one join in arrival
+    order; only a flow that saw a segment elsewhere is re-keyed and
+    sorted by :meth:`_reassemble_tcp`.
 
     With ``limits`` set the assembler is safe against hostile traffic:
     opening a flow past ``max_flows`` evicts the least-recently-updated
@@ -221,7 +231,10 @@ class FlowAssembler:
 
     def _finalize(self, key: FiveTuple) -> Flow:
         if key.proto == PROTO_TCP:
-            return Flow(key, self._reassemble_tcp(self._tcp.get(key, {})))
+            segments = self._tcp.get(key, {})
+            if len(segments) < 2 or self._in_order(segments):
+                return Flow(key, b"".join(segments.values()))
+            return Flow(key, self._reassemble_tcp(segments))
         return Flow(key, b"".join(self._other.get(key, [])))
 
     def add_all(self, packets: Iterable[Packet]) -> None:
@@ -231,6 +244,20 @@ class FlowAssembler:
     def flows(self) -> list[Flow]:
         """Reassembled flows in first-seen order (evicted flows excluded)."""
         return [self._finalize(key) for key in self._order]
+
+    @staticmethod
+    def _in_order(segments: dict[int, bytes]) -> bool:
+        """Whether each segment, in arrival order, starts where the one
+        before it ended, less than 2^31 bytes past the first: then arrival
+        order is the order :meth:`_reassemble_tcp` would sort them into."""
+        expected = next(iter(segments), None)
+        offset = 0
+        for seq, data in segments.items():
+            if seq != expected or offset >= _SEQ_HALF:
+                return False
+            offset += len(data)
+            expected = (seq + len(data)) % _SEQ_MOD
+        return True
 
     @staticmethod
     def _reassemble_tcp(segments: dict[int, bytes]) -> bytes:

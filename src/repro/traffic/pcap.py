@@ -34,8 +34,19 @@ _IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
 _TCP_HEADER = struct.Struct("!HHIIBBHHH")
 _UDP_HEADER = struct.Struct("!HHHH")
 
+# The common frame, Ethernet II + IPv4 without options + TCP, in one
+# unpack: ethertype, version/IHL, total length, protocol, both addresses,
+# both ports, seq and the TCP data-offset byte.
+_ETH_IPV4_TCP = struct.Struct("!12xHBxH4xxB2x4s4sHHI4xB7x")
+
 _ETHERTYPE_IPV4 = 0x0800
 _LINKTYPE_ETHERNET = 1
+_IPV4_NO_OPTIONS = 0x45  # version 4, IHL 5 words
+_L4_OFFSET = _ETH_HEADER.size + _IPV4_HEADER.size  # TCP header of that frame
+_WINDOW_CHUNK = 65536  # bytes a record-walk refill reads at least
+# Formatted addresses kept before the memo starts over: a bound, because
+# hostile traffic can present any number of distinct addresses.
+_IP_CACHE_LIMIT = 65536
 
 
 class PcapError(ValueError):
@@ -87,8 +98,20 @@ def _ip_bytes(dotted: str) -> bytes:
     return bytes(parts)
 
 
+_ip_cache: dict[bytes, str] = {}
+
+
 def _ip_str(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
+    """Dotted form of a 4-byte address, memoized up to ``_IP_CACHE_LIMIT``.
+
+    Every reader in the process shares the memo; it caches a pure
+    function, so sharing it changes no result."""
+    text = _ip_cache.get(raw)
+    if text is None:
+        if len(_ip_cache) >= _IP_CACHE_LIMIT:
+            _ip_cache.clear()
+        text = _ip_cache[raw] = "%d.%d.%d.%d" % tuple(raw)
+    return text
 
 
 def encode_packet(packet: Packet) -> bytes:
@@ -135,6 +158,11 @@ def encode_packet(packet: Packet) -> bytes:
 
 def decode_frame(frame: bytes) -> Packet | None:
     """Decode an Ethernet frame; returns None for non-IPv4/TCP/UDP frames."""
+    return _decode_frame(frame, 0.0)
+
+
+def _decode_frame(frame: bytes, timestamp: float) -> Packet | None:
+    """The general decoder: any header layout, every hardening check."""
     if len(frame) < _ETH_HEADER.size:
         return None
     _dst, _src, ethertype = _ETH_HEADER.unpack_from(frame)
@@ -188,7 +216,7 @@ def decode_frame(frame: bytes) -> Packet | None:
     else:
         return None
     key = FiveTuple(proto, _ip_str(src), src_port, _ip_str(dst), dst_port)
-    return Packet(key=key, payload=payload, seq=seq)
+    return Packet(key, payload, seq, timestamp)
 
 
 def write_pcap(stream: BinaryIO, packets: Iterable[Packet], snaplen: int = 65535) -> int:
@@ -237,41 +265,117 @@ def read_pcap(
     snaplen, linktype = fields[5], fields[6]
     if linktype != _LINKTYPE_ETHERNET:
         raise PcapError(f"unsupported linktype {linktype}")
-    max_len = max(snaplen, 65535)
+    yield from _walk_records(stream, max(snaplen, 65535), stats, errors == "raise")
 
-    if errors == "skip":
-        yield from _read_tolerant(stream, max_len, stats)
-        return
 
+def _walk_records(
+    stream: BinaryIO, max_len: int, stats: PcapStats, strict: bool
+) -> Iterator[Packet]:
+    """The record walk of both modes, over one window of buffered bytes.
+
+    ``buf[pos:]`` is the unread part of the window; it is refilled, and
+    compacted, only when the next record header or frame runs past its end.
+    Each frame is decoded where it lies into one :class:`Packet`: the
+    common Ethernet/IPv4/TCP frame with one unpack, any other through
+    the general decoder.  Damage takes the exception branches: strict
+    mode raises :class:`PcapError`, tolerant mode resynchronizes past an
+    implausible header and stops at a truncated tail.
+    """
+    record_header = _RECORD_HEADER.unpack_from
+    frame_header = _ETH_IPV4_TCP.unpack_from
+    ip = _ip_cache.get
+    buf, pos = b"", 0
     while True:
-        record = stream.read(_RECORD_HEADER.size)
-        if not record:
-            return
-        if len(record) < _RECORD_HEADER.size:
-            raise PcapError("truncated pcap record header")
-        ts_sec, ts_usec, incl_len, _orig_len = _RECORD_HEADER.unpack(record)
-        frame = stream.read(incl_len)
-        if len(frame) < incl_len:
-            raise PcapError("truncated pcap frame")
+        if pos + _RECORD_HEADER.size > len(buf):
+            buf, pos = _refill(stream, buf, pos, _RECORD_HEADER.size)
+            if pos + _RECORD_HEADER.size > len(buf):
+                if pos < len(buf):
+                    if strict:
+                        raise PcapError("truncated pcap record header")
+                    stats.truncated_tail = True
+                return
+        header = record_header(buf, pos)
+        if not strict and not _plausible(header, max_len):
+            stats.corrupt_records += 1
+            buf, pos, skipped = _resync(stream, buf, pos, max_len)
+            stats.resync_bytes += skipped
+            if pos < 0:
+                stats.truncated_tail = True
+                return
+            header = record_header(buf, pos)
+        ts_sec, ts_usec, incl_len, _orig_len = header
+        end = pos + _RECORD_HEADER.size + incl_len
+        if end > len(buf):
+            buf, pos = _refill(stream, buf, pos, _RECORD_HEADER.size + incl_len)
+            end = pos + _RECORD_HEADER.size + incl_len
+            if end > len(buf):
+                if strict:
+                    raise PcapError("truncated pcap frame")
+                stats.truncated_tail = True
+                return
+        start = pos + _RECORD_HEADER.size
+        pos = end
         stats.records_read += 1
-        packet = decode_frame(frame)
-        if packet is not None:
-            stats.packets_decoded += 1
-            yield Packet(
-                key=packet.key,
-                payload=packet.payload,
-                seq=packet.seq,
-                timestamp=ts_sec + ts_usec / 1e6,
-            )
-        else:
-            stats.undecodable_frames += 1
+        timestamp = ts_sec + ts_usec / 1e6
+        packet = None
+        if incl_len >= _ETH_IPV4_TCP.size:
+            (
+                ethertype, ver_ihl, total_len, proto,
+                src, dst, src_port, dst_port, seq, data_offset,
+            ) = frame_header(buf, start)
+            if ethertype == _ETHERTYPE_IPV4 and ver_ihl == _IPV4_NO_OPTIONS and proto == PROTO_TCP:
+                # decode_frame's checks for this layout: the payload starts
+                # past the fixed TCP header and within the datagram clamped
+                # to the frame (which therefore holds that header).
+                ip_end = min(_ETH_HEADER.size + total_len, incl_len)
+                payload_start = _L4_OFFSET + (data_offset >> 4) * 4
+                if _ETH_IPV4_TCP.size <= payload_start <= ip_end:
+                    key = FiveTuple(
+                        PROTO_TCP, ip(src) or _ip_str(src), src_port,
+                        ip(dst) or _ip_str(dst), dst_port,
+                    )
+                    payload = buf[start + payload_start : start + ip_end]
+                    packet = Packet(key, payload, seq, timestamp)
+        if packet is None:
+            # Any other frame, and a damaged common one: the general decoder.
+            packet = _decode_frame(buf[start:end], timestamp)
+            if packet is None:
+                stats.undecodable_frames += 1
+                continue
+        stats.packets_decoded += 1
+        yield packet
 
 
-def _plausible_record(buf: bytes, offset: int, max_len: int) -> bool:
-    """Heuristic validity of a record header at ``offset`` in ``buf``."""
-    if offset + _RECORD_HEADER.size > len(buf):
-        return False
-    _ts_sec, ts_usec, incl_len, orig_len = _RECORD_HEADER.unpack_from(buf, offset)
+def _refill(stream: BinaryIO, buf: bytes, pos: int, need: int) -> tuple[bytes, int]:
+    """Read until the unread window ``buf[pos:]`` holds ``need`` bytes or
+    the stream ends.  Returns the window and the position of ``buf[pos]``
+    in it.
+
+    The window is compacted only when a read brought bytes, and each read
+    asks for as many bytes as the window keeps (at least
+    ``_WINDOW_CHUNK``), never for a length a record header claims.  On a
+    stream whose reads come back full until its end (a file, a BytesIO)
+    compaction thus copies at most twice the bytes read, plus the window
+    once at the end: a resync whose candidates keep claiming records past
+    the end of the capture stays linear.
+    """
+    have = len(buf) - pos
+    step = max(_WINDOW_CHUNK, have)
+    chunks = []
+    while have < need:
+        chunk = stream.read(step)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        have += len(chunk)
+    if not chunks:
+        return buf, pos
+    return b"".join([memoryview(buf)[pos:], *chunks]), 0
+
+
+def _plausible(header: tuple[int, int, int, int], max_len: int) -> bool:
+    """Heuristic validity of an unpacked record header."""
+    _ts_sec, ts_usec, incl_len, orig_len = header
     return (
         0 < incl_len <= max_len
         and incl_len <= orig_len <= max_len
@@ -279,71 +383,34 @@ def _plausible_record(buf: bytes, offset: int, max_len: int) -> bool:
     )
 
 
-def _read_tolerant(stream: BinaryIO, max_len: int, stats: PcapStats) -> Iterator[Packet]:
-    """Record loop for ``errors="skip"``: buffer, validate, resynchronize."""
-    buf = bytearray()
-    offset = 0
+def _resync(
+    stream: BinaryIO, buf: bytes, pos: int, max_len: int
+) -> tuple[bytes, int, int]:
+    """Scan forward one byte at a time from the corrupt header at ``pos``
+    for the next plausible one.  Returns the window, the new record's
+    position (``-1`` when the capture ended first) and the bytes skipped.
 
-    def ensure(n: int) -> bool:
-        """Make at least ``n`` bytes available at ``offset``."""
-        need = offset + n
-        while len(buf) < need:
-            chunk = stream.read(max(65536, need - len(buf)))
-            if not chunk:
-                return False
-            buf.extend(chunk)
-        return True
-
+    A candidate is accepted only when another plausible header follows
+    it, or when it ends exactly at the end of the capture: a chain check
+    against false positives.
+    """
+    skipped = 0
     while True:
-        # Bound the buffer: everything before offset is consumed.
-        if offset:
-            del buf[:offset]
-            offset = 0
-        if not ensure(_RECORD_HEADER.size):
-            if len(buf) > 0:
-                stats.truncated_tail = True
-            return
-        if not _plausible_record(buf, offset, max_len):
-            # Corrupt header: abandon this record and scan forward one
-            # byte at a time for the next plausible one.
-            stats.corrupt_records += 1
-            skipped = 0
-            while True:
-                offset += 1
-                skipped += 1
-                if not ensure(_RECORD_HEADER.size):
-                    stats.resync_bytes += skipped
-                    stats.truncated_tail = True
-                    return
-                if not _plausible_record(buf, offset, max_len):
-                    continue
-                # Chain check against false positives: accept only when the
-                # candidate record is followed by another plausible header,
-                # or ends exactly at EOF.
-                incl_len = _RECORD_HEADER.unpack_from(buf, offset)[2]
-                record_end = _RECORD_HEADER.size + incl_len
-                if ensure(record_end + _RECORD_HEADER.size):
-                    if _plausible_record(buf, offset + record_end, max_len):
-                        break
-                elif len(buf) - offset == record_end:
-                    break
-            stats.resync_bytes += skipped
-        ts_sec, ts_usec, incl_len, _orig_len = _RECORD_HEADER.unpack_from(buf, offset)
-        if not ensure(_RECORD_HEADER.size + incl_len):
-            stats.truncated_tail = True
-            return
-        start = offset + _RECORD_HEADER.size
-        frame = bytes(buf[start : start + incl_len])
-        offset = start + incl_len
-        stats.records_read += 1
-        packet = decode_frame(frame)
-        if packet is not None:
-            stats.packets_decoded += 1
-            yield Packet(
-                key=packet.key,
-                payload=packet.payload,
-                seq=packet.seq,
-                timestamp=ts_sec + ts_usec / 1e6,
-            )
-        else:
-            stats.undecodable_frames += 1
+        pos += 1
+        skipped += 1
+        if pos + _RECORD_HEADER.size > len(buf):
+            buf, pos = _refill(stream, buf, pos, _RECORD_HEADER.size)
+            if pos + _RECORD_HEADER.size > len(buf):
+                return buf, -1, skipped
+        header = _RECORD_HEADER.unpack_from(buf, pos)
+        if not _plausible(header, max_len):
+            continue
+        record_end = _RECORD_HEADER.size + header[2]
+        need = record_end + _RECORD_HEADER.size
+        if pos + need > len(buf):
+            buf, pos = _refill(stream, buf, pos, need)
+        if pos + need <= len(buf):
+            if _plausible(_RECORD_HEADER.unpack_from(buf, pos + record_end), max_len):
+                return buf, pos, skipped
+        elif len(buf) - pos == record_end:
+            return buf, pos, skipped

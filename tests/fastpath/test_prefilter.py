@@ -313,9 +313,9 @@ class TestSoundnessProperty:
 class TestReportPlumbing:
     def test_resilient_scan_records_prefilter(self, mfa):
         from repro.robust import resilient_scan
-        from repro.traffic.flows import FiveTuple, Packet
+        from repro.traffic.flows import PROTO_TCP, FiveTuple, Packet
 
-        key = FiveTuple("10.0.0.1", 1234, "10.0.0.2", 80, 6)
+        key = FiveTuple(PROTO_TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
         packets = [Packet(key=key, payload=b"HELO alpha omega", seq=0)]
         engine = build_fastpath(mfa, prefilter="on")
         alerts, report = resilient_scan(engine, packets, batch_size=4)
