@@ -27,6 +27,11 @@ Seven analyzers, one report type, zero traffic:
   graph, and the interaction-aware shard planner behind
   ``compile_mfa(shard_plan="interaction")``.
 
+:mod:`~repro.analyze.escorts` is the one table through which compiles
+run four of them as *escorts* (``audit``, ``prove``, ``adversary``,
+``ruleset``): advisory findings filed beside the engine, a crash
+recorded as a finding.
+
 :mod:`~repro.analyze.bundle` applies the first two tolerantly to
 serialized bundles, so a corrupt artifact yields findings instead of one
 load exception.  The runtime counterpart — diffing match streams against
@@ -54,6 +59,7 @@ from .equivalence import (
     prove_mfa,
     prove_patterns,
 )
+from .escorts import ESCORTS, run_escort
 from .explosion import (
     RISK_HIGH,
     RISK_LOW,
@@ -119,4 +125,6 @@ __all__ = [
     "pattern_contains",
     "plan_shards",
     "prune_patterns",
+    "ESCORTS",
+    "run_escort",
 ]

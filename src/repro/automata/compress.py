@@ -20,15 +20,14 @@ behaviour is identical to the source DFA (property-tested).
 
 Beyond the in-memory engine, the forest is a first-class *artifact tier*:
 :func:`repro.core.mfa.build_mfa` attaches it at compile time
-(``compress=`` / ``REPRO_COMPILE_COMPRESS``), the bundle format
-serialises it (:func:`repro.automata.serialize.dumps_cdfa`), and loaders
-decode it back by :meth:`CompressedDFA.flatten` (dense again, so every
-engine scans it at full speed).
+(``compress=``), the bundle format serialises it
+(:func:`repro.automata.serialize.dumps_cdfa`), and loaders decode it back
+by :meth:`CompressedDFA.flatten` (dense again, so every engine scans it
+at full speed).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import cast
 
@@ -41,7 +40,6 @@ __all__ = [
     "resolve_compress_option",
     "DEFAULT_CHAIN_DEPTH",
     "ARTIFACT_WINDOW",
-    "COMPRESS_ENV",
 ]
 
 # Bytes sampled for the similarity signature: spread over the alphabet with
@@ -54,37 +52,18 @@ _SIGNATURE_BYTES = (0, 10, 13, 32, 47, 61, 65, 90, 97, 101, 110, 115, 122, 128, 
 # stops buying much ratio for its quadratic-ish cost.
 DEFAULT_CHAIN_DEPTH = 4
 ARTIFACT_WINDOW = 32
-COMPRESS_ENV = "REPRO_COMPILE_COMPRESS"
 
 
 def resolve_compress_option(value: "bool | int | None") -> int:
     """Normalise a ``compress=`` option to a chain-depth bound (0 = off).
 
-    ``None`` reads ``REPRO_COMPILE_COMPRESS``: unset/``0``/``off``/
-    ``false`` disable, ``1``/``on``/``true`` enable at
-    :data:`DEFAULT_CHAIN_DEPTH`, and any other integer is the depth bound
-    itself.  ``True`` maps to the default depth; an explicit integer is
-    used as-is (it must be positive).
+    ``None`` and ``False`` mean dense (0), ``True`` maps to
+    :data:`DEFAULT_CHAIN_DEPTH`, and an explicit integer is the depth
+    bound itself (it must not be negative).
     """
-    if value is None:
-        raw = os.environ.get(COMPRESS_ENV, "").strip().lower()
-        if raw in ("", "0", "off", "false", "no"):
-            return 0
-        if raw in ("1", "on", "true", "yes"):
-            return DEFAULT_CHAIN_DEPTH
-        try:
-            depth = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{COMPRESS_ENV} must be a boolean flag or a chain-depth "
-                f"integer, got {raw!r}"
-            ) from None
-        if depth < 0:
-            raise ValueError(f"{COMPRESS_ENV} depth must be >= 0, got {depth}")
-        return depth
     if value is True:
         return DEFAULT_CHAIN_DEPTH
-    if value is False:
+    if value is None or value is False:
         return 0
     depth = int(value)
     if depth < 0:

@@ -35,8 +35,10 @@ __all__ = [
 ]
 
 
-class LintError(ValueError):
-    """Raised by ``compile_mfa(..., lint=True)`` on error-severity findings."""
+class _EscortError(ValueError):
+    """Error findings of a compile escort, carried on ``report``."""
+
+    failure = "escort failed"
 
     def __init__(self, report: "AnalysisReport") -> None:
         self.report = report
@@ -44,20 +46,20 @@ class LintError(ValueError):
         summary = "; ".join(f.describe() for f in errors[:3])
         if len(errors) > 3:
             summary += f"; and {len(errors) - 3} more"
-        super().__init__(f"static analysis found {len(errors)} error(s): {summary}")
+        super().__init__(f"{self.failure} with {len(errors)} error(s): {summary}")
 
 
-class ProofError(ValueError):
+class LintError(_EscortError):
+    """Raised by ``compile_mfa(..., lint=True)`` on error-severity findings."""
+
+    failure = "static analysis failed"
+
+
+class ProofError(_EscortError):
     """Raised by ``compile_mfa(..., prove=True)`` when the equivalence
     prover refutes (or cannot establish) the artifact's correctness."""
 
-    def __init__(self, report: "AnalysisReport") -> None:
-        self.report = report
-        errors = report.errors
-        summary = "; ".join(f.describe() for f in errors[:3])
-        if len(errors) > 3:
-            summary += f"; and {len(errors) - 3} more"
-        super().__init__(f"equivalence proof failed: {summary}")
+    failure = "equivalence proof failed"
 
 
 def compile_patterns(
@@ -122,17 +124,18 @@ def compile_mfa(
     accumulating per-phase wall time (``parse``/``split``/``determinize``/
     ``minimize``/``filter-gen``).
 
-    ``lint=True`` runs the static verifier (:mod:`repro.analyze`) over the
-    compiled engine and raises :class:`LintError` if any error-severity
-    finding survives — the fail-closed mode for build pipelines that
-    would rather not ship a questionable artifact.
+    ``lint=True`` runs the ``audit`` escort (the static verifier,
+    :mod:`repro.analyze.escorts`) over the compiled engine and raises
+    :class:`LintError` if any error-severity finding survives — the
+    fail-closed mode for build pipelines that would rather not ship a
+    questionable artifact.  An audit crash raises as an ``AU100`` finding.
 
-    ``prove=True`` goes further: it runs the product-automaton
-    equivalence prover (:mod:`repro.analyze.equivalence`) against a
-    reference automaton built from the un-decomposed patterns and raises
-    :class:`ProofError` on any error-severity ``EQ`` finding — a
-    replay-confirmed divergence, an unprovable shard, or a prover crash.
-    A budget-truncated proof surfaces as an ``EQ110`` warning on the
+    ``prove=True`` goes further: it runs the ``prove`` escort, the
+    product-automaton equivalence prover, against a reference automaton
+    built from the un-decomposed patterns and raises :class:`ProofError`
+    on any error-severity ``EQ`` finding — a replay-confirmed divergence,
+    an unprovable shard, or a prover crash (``EQ100``).  A
+    budget-truncated proof surfaces as an ``EQ110`` warning on the
     report, which does not raise; gate on it explicitly if bounded
     proofs are unacceptable.
 
@@ -143,8 +146,7 @@ def compile_mfa(
 
     ``compress`` attaches a default-transition forest so the artifact
     serialises in the compressed tier (see
-    :func:`repro.core.mfa.build_mfa`); ``None`` defers to
-    ``REPRO_COMPILE_COMPRESS``.
+    :func:`repro.core.mfa.build_mfa`); ``None`` keeps it dense.
     """
     if lint or prove:
         engine = compile_mfa(
@@ -161,20 +163,14 @@ def compile_mfa(
             compress=compress,
             shard_plan=shard_plan,
         )
-        if lint:
-            from ..analyze import analyze_engine
+        from ..analyze.escorts import run_escort
 
-            audit = analyze_engine(engine)
-            if audit.has_errors:
-                raise LintError(audit)
-        if prove:
-            from ..analyze import analyze_engine_equivalence
-
-            proof = analyze_engine_equivalence(
-                engine, compile_patterns(rules, parser_options)
-            )
-            if proof.has_errors:
-                raise ProofError(proof)
+        patterns = compile_patterns(rules, parser_options)
+        for name, wanted, error in (("audit", lint, LintError), ("prove", prove, ProofError)):
+            if wanted:
+                report = run_escort(name, engine, patterns, splitter_options)
+                if report.has_errors:
+                    raise error(report)
         return engine
     if shards > 1 or cache is not None:
         from ..fastcompile.shards import compile_mfa_sharded

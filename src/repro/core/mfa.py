@@ -234,32 +234,6 @@ class MFA:
         """True when any original pattern matches anywhere in ``data``."""
         return self.first_match(data) is not None
 
-    def run_decoupled(self, data: bytes) -> list[MatchEvent]:
-        """Two-phase matching per §III-B's queue note.
-
-        "The DFA processing could put matches with the position of the
-        match into a queue, and the match filtering could read from that
-        queue": phase one is a pure DFA scan collecting raw events, phase
-        two drains the queue through the filter engine.  Equivalent to the
-        lock-step :meth:`run` (tested), and the mode a pipelined hardware
-        implementation would use.
-        """
-        queue = self.dfa.run(data)
-        # Raw DFA events arrive position-ordered but not priority-ordered
-        # within a position; re-sort the way the lock-step path does.
-        priority = self.program.action_priority
-        queue.sort(key=lambda e: (e.pos, priority(e.match_id), e.match_id))
-        engine = self.engine
-        memory = engine.new_state()
-        out: list[MatchEvent] = []
-        # The DFA pass already queued end-anchored decisions at the final
-        # position, so draining the queue is the whole second phase.
-        for event in queue:
-            confirmed = engine.process(memory, event.pos, event.match_id)
-            if confirmed != NONE:
-                out.append(MatchEvent(event.pos, confirmed))
-        return out
-
     def raw_matches(self, data: bytes) -> list[MatchEvent]:
         """The unfiltered component match stream (diagnostics, Table IV)."""
         return self.dfa.run(data)
@@ -300,8 +274,8 @@ def build_mfa(
     ``compress`` attaches a default-transition forest
     (:func:`repro.automata.compress.compress_dfa`) so the bundle
     serialises in the compressed artifact tier: ``True`` uses the default
-    chain-depth bound, an integer sets the bound, ``None`` defers to
-    ``REPRO_COMPILE_COMPRESS``.  Purely a storage tier — the in-memory
+    chain-depth bound, an integer sets the bound, ``None``/``False``
+    keep it dense.  Purely a storage tier — the in-memory
     engine keeps its dense table and match semantics are untouched.
     """
     import time as _time

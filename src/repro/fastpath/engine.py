@@ -41,7 +41,6 @@ Several table-layout tricks keep the per-byte numpy overhead down:
 
 from __future__ import annotations
 
-import os
 from math import sqrt
 from typing import Iterator, Sequence
 
@@ -74,7 +73,6 @@ _DENSITY_FALLBACK_NUM = 3
 _DENSITY_FALLBACK_DEN = 8
 _HIST_CELL_CAP = 1 << 22
 
-_PREFILTER_ENV = "REPRO_PREFILTER"
 _PREFILTER_MODES = ("on", "off", "auto")
 
 
@@ -118,11 +116,11 @@ class FastPathMFA:
     unchanged.
 
     ``prefilter`` selects the required-literal prefilter stage: ``"on"``
-    and ``"auto"`` use the compiled plan when one exists (building it from
-    split provenance on the fly if the MFA carries none), ``"off"`` always
-    scans every byte.  ``None`` reads ``REPRO_PREFILTER`` (default
-    ``auto``).  The prefiltered path is byte-identical to the classic one
-    — it only changes which bytes the automaton walks.
+    and ``"auto"`` (the default) use the compiled plan when one exists
+    (building it from split provenance on the fly if the MFA carries
+    none), ``"off"`` always scans every byte.  The prefiltered path is
+    byte-identical to the classic one — it only changes which bytes the
+    automaton walks.
     """
 
     def __init__(
@@ -130,7 +128,7 @@ class FastPathMFA:
         mfa: MFA,
         segment_bytes: int | None = None,
         batch_hint: int = 64,
-        prefilter: str | None = None,
+        prefilter: str = "auto",
     ):
         if segment_bytes is not None and segment_bytes < 1:
             raise ValueError("segment_bytes must be positive")
@@ -139,15 +137,14 @@ class FastPathMFA:
         # How many flows callers should aim to hand feed_batch/run_batch at
         # once; advisory (any batch size works).
         self.batch_hint = batch_hint
-        mode = prefilter if prefilter is not None else os.environ.get(_PREFILTER_ENV, "auto")
-        if mode not in _PREFILTER_MODES:
-            raise ValueError(f"prefilter must be one of {_PREFILTER_MODES}, got {mode!r}")
-        self.prefilter_mode = mode
+        if prefilter not in _PREFILTER_MODES:
+            raise ValueError(f"prefilter must be one of {_PREFILTER_MODES}, got {prefilter!r}")
+        self.prefilter_mode = prefilter
         self._prefilter_runtime: PrefilterRuntime | None = None
         self._vector_ready = False
         if HAVE_NUMPY:
             self._build_tables()
-        if mode != "off" and self._vector_ready:
+        if prefilter != "off" and self._vector_ready:
             plan = mfa.prefilter
             if plan is None:
                 plan = build_prefilter(mfa)
@@ -709,7 +706,7 @@ class FastPathMFA:
 def build_fastpath(
     mfa: MFA,
     segment_bytes: int | None = None,
-    prefilter: str | None = None,
+    prefilter: str = "auto",
 ) -> FastPathMFA:
     """Wrap a compiled MFA in the lockstep batch engine."""
     return FastPathMFA(mfa, segment_bytes=segment_bytes, prefilter=prefilter)

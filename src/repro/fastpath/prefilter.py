@@ -46,7 +46,6 @@ numpy lookup tables by :class:`PrefilterRuntime` at engine construction.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 from ..core.filters import NONE, FilterAction
@@ -74,16 +73,6 @@ _MAX_WARMUP = 4096
 # Weaker anchors would flag so much clean traffic that prefiltering loses.
 _MAX_PAIR_PRODUCT = 4096
 _MAX_SINGLE_CLASS = 16
-
-_ENV_MIN_LITERAL = "REPRO_PREFILTER_MIN_LITERAL"
-
-
-def _min_literal_default() -> int:
-    try:
-        return max(1, int(os.environ.get(_ENV_MIN_LITERAL, "1")))
-    except ValueError:
-        return 1
-
 
 # Rough per-byte commonness in benign network payloads (text-heavy
 # protocol mix).  Anchor pairs are ranked by how often they would fire on
@@ -186,7 +175,7 @@ def _chain_anchor(classes: tuple[CharClass, ...]) -> Optional[int]:
 
 
 def build_prefilter(
-    mfa: "MFA", min_literal: Optional[int] = None, audit: bool = False
+    mfa: "MFA", min_literal: int = 1, audit: bool = False
 ) -> Optional[dict]:
     """Compile a prefilter plan from an MFA's split provenance.
 
@@ -209,8 +198,6 @@ def build_prefilter(
     components = mfa.split.components
     if not components:
         return None
-    if min_literal is None:
-        min_literal = _min_literal_default()
     program = mfa.program
 
     warmup = 2  # pure-clear subset state depends on the last <= 2 bytes

@@ -2,9 +2,9 @@
 
 Everything the degradation story tunes lives here so operators have one
 place to look: the compile side (:class:`CompileLimits` — state-budget
-escalation schedule, wall-time budget, engine fallback chain) and the
-scan side (:class:`~repro.traffic.flows.FlowLimits` — flow-table and
-per-flow caps, re-exported here as :data:`ScanLimits`).
+escalation schedule, wall-time budget, engine fallback chain, compile
+escorts) and the scan side (:class:`~repro.traffic.flows.FlowLimits` —
+flow-table and per-flow caps, re-exported here as :data:`ScanLimits`).
 
 Every knob has an environment spelling (see :func:`compile_limits_from_env`
 and :func:`scan_limits_from_env`), used by ``mfa-bench rcompile``/``rscan``
@@ -17,10 +17,7 @@ and the benchmark harness:
  REPRO_BUDGET_SCHEDULE   full comma-separated schedule (overrides the above)
  REPRO_DFA_TIME_BUDGET   per-attempt subset-construction wall-time budget (s)
  REPRO_FALLBACK_CHAIN    comma-separated engines, e.g. ``mfa,hybridfa,nfa``
- REPRO_COMPILE_ANALYZE   0 disables pre-compile triage / post-compile audit
- REPRO_COMPILE_PROVE     1 runs the equivalence prover on the shipped engine
- REPRO_COMPILE_ADVERSARY 1 runs the adversarial worst-case audit escort
- REPRO_COMPILE_RULESET   1 runs the cross-rule interaction analysis escort
+ REPRO_COMPILE_ESCORTS   comma-separated escorts (empty: none), e.g. ``audit,prove``
  REPRO_MAX_FLOWS         concurrent-flow cap of the assembler / flow table
  REPRO_MAX_FLOW_BYTES    per-flow buffered-byte cap
  REPRO_MAX_FLOW_SEGS     per-flow buffered-segment cap
@@ -52,6 +49,10 @@ DEFAULT_FALLBACK_CHAIN: tuple[str, ...] = ("mfa", "hybridfa", "nfa")
 
 KNOWN_ENGINES: tuple[str, ...] = ("mfa", "dfa", "hybridfa", "nfa")
 
+# The artifact audit is cheap and also turns on the pre-compile triage;
+# the other escorts cost more and run on request.
+DEFAULT_ESCORTS: frozenset[str] = frozenset({"audit"})
+
 # Re-export: the scan-side limit set is defined next to the assembler it
 # bounds; the robust layer is its operator-facing home.
 ScanLimits = FlowLimits
@@ -67,37 +68,19 @@ class CompileLimits:
     ``time_budget`` (seconds, per attempt) bounds pathological sets whose
     individual subsets are expensive; ``None`` disables the clock.
 
-    ``analyze`` turns on the static-analysis escort (:mod:`repro.analyze`):
-    a pre-compile explosion triage whose state predictions let the chain
-    skip budgets the set cannot possibly fit (the last scheduled budget is
-    always tried for real), and a post-compile audit of the shipped
-    engine.  Both land on the :class:`~repro.robust.report.CompileReport`.
-
-    ``prove`` (off by default — it is the most expensive escort) runs the
-    product-automaton equivalence prover (:mod:`repro.analyze.equivalence`)
-    over the shipped engine and records the outcome as the report's
-    ``proof`` field.  Like the audit, a failed proof never turns a
-    shippable engine into a hard failure — the findings are the signal.
-
-    ``adversary`` (off by default) runs the worst-case cost audit
-    (:mod:`repro.analyze.adversary`) over the shipped engine — static
-    witness synthesis only, no replay — and records the ``AV`` findings
-    as the report's ``adversary`` field.  Never fatal either.
-
-    ``ruleset`` (off by default) runs the cross-rule interaction analysis
-    (:mod:`repro.analyze.ruleset`) over the *input patterns* — duplicate /
-    subsumption / shadowing proofs with replay-confirmed witnesses plus
-    the interaction census — and records the ``RS`` findings as the
-    report's ``ruleset`` field.  Never fatal either.
+    ``escorts`` names the analyzers that run beside the compile (the
+    table is :data:`repro.analyze.escorts.ESCORTS`): ``audit``,
+    ``prove``, ``adversary`` and ``ruleset``.  Each files its findings on
+    ``CompileReport.findings`` and never fails the compile.  ``audit``,
+    the default, also runs a pre-compile explosion triage whose state
+    predictions let the chain skip budgets the set cannot possibly fit
+    (the last scheduled budget is always tried for real).
     """
 
     budget_schedule: tuple[int, ...] = (DEFAULT_STATE_BUDGET,)
     time_budget: float | None = None
     fallback_chain: tuple[str, ...] = DEFAULT_FALLBACK_CHAIN
-    analyze: bool = True
-    prove: bool = False
-    adversary: bool = False
-    ruleset: bool = False
+    escorts: frozenset[str] = DEFAULT_ESCORTS
 
     def __post_init__(self) -> None:
         if not self.budget_schedule:
@@ -111,6 +94,11 @@ class CompileLimits:
         unknown = [e for e in self.fallback_chain if e not in KNOWN_ENGINES]
         if unknown:
             raise ValueError(f"unknown engines in fallback chain: {unknown}")
+        from ..analyze.escorts import ESCORTS
+
+        unknown = sorted(set(self.escorts) - ESCORTS.keys())
+        if unknown:
+            raise ValueError(f"unknown escorts {unknown}; known: {list(ESCORTS)}")
 
     @classmethod
     def escalating(
@@ -147,18 +135,17 @@ def compile_limits_from_env(environ: Mapping[str, str] | None = None) -> Compile
         if raw_chain
         else DEFAULT_FALLBACK_CHAIN
     )
-    analyze = environ.get("REPRO_COMPILE_ANALYZE", "1") not in ("0", "false", "no")
-    prove = environ.get("REPRO_COMPILE_PROVE", "0") in ("1", "true", "yes")
-    adversary = environ.get("REPRO_COMPILE_ADVERSARY", "0") in ("1", "true", "yes")
-    ruleset = environ.get("REPRO_COMPILE_RULESET", "0") in ("1", "true", "yes")
+    raw_escorts = environ.get("REPRO_COMPILE_ESCORTS")
+    escorts = (
+        frozenset(part.strip() for part in raw_escorts.split(",") if part.strip())
+        if raw_escorts is not None
+        else DEFAULT_ESCORTS
+    )
     return CompileLimits(
         budget_schedule=schedule,
         time_budget=time_budget,
         fallback_chain=chain,
-        analyze=analyze,
-        prove=prove,
-        adversary=adversary,
-        ruleset=ruleset,
+        escorts=escorts,
     )
 
 

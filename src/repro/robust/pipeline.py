@@ -65,6 +65,12 @@ class ResilientCompiler:
     compiler always produces *something*: the surviving rules compiled
     into the strongest engine the budgets allow, plus a
     :class:`CompileReport` accounting for everything that degraded.
+
+    The escorts ``limits.escorts`` selects run after the build and file
+    their findings on ``CompileReport.findings``; they never turn a
+    shippable engine into a failure.  Callers that want fail-closed
+    semantics check ``has_errors`` there, or use
+    ``compile_mfa(lint=True)`` / ``compile_mfa(prove=True)``.
     """
 
     def __init__(
@@ -390,21 +396,24 @@ class ResilientCompiler:
             report.engine_name = "nfa"
             return CompileResult(engine, "nfa", report, [])
 
-        if self.limits.analyze:
+        escorts = self.limits.escorts
+        if "audit" in escorts:
             self._pretriage(patterns, report)
         if self.shards > 1 and len(patterns) > 1:
             engine, engine_name = self._compile_sharded(patterns, report)
         else:
             engine, engine_name = self._compile_chain(patterns, report)
         report.engine_name = engine_name
-        if self.limits.analyze and engine is not None:
-            self._audit(engine, report)
-        if self.limits.prove and engine is not None:
-            self._prove(engine, patterns, report)
-        if self.limits.adversary and engine is not None:
-            self._adversary(engine, report)
-        if self.limits.ruleset:
-            self._ruleset(patterns, report)
+        from ..analyze.escorts import ESCORTS, run_escort
+
+        for name in ESCORTS:
+            # The ruleset escort reads only the patterns; the others audit
+            # the shipped engine.
+            if name not in escorts or (engine is None and name != "ruleset"):
+                continue
+            tick = time.perf_counter()
+            report.findings[name] = run_escort(name, engine, patterns, self.splitter_options)
+            report.phases[name] = time.perf_counter() - tick
         return CompileResult(engine, engine_name, report, patterns)
 
     def _pretriage(self, patterns: list[Pattern], report: CompileReport) -> None:
@@ -421,103 +430,6 @@ class ResilientCompiler:
         except Exception:  # noqa: BLE001 - advisory analysis never kills a compile
             report.triage = None
         report.phases["triage"] = time.perf_counter() - tick
-
-    def _audit(self, engine: object, report: CompileReport) -> None:
-        """Statically audit whatever engine shipped; findings are advisory."""
-        from ..analyze import AnalysisReport, analyze_engine
-        from ..analyze.report import ERROR
-
-        tick = time.perf_counter()
-        try:
-            report.audit = analyze_engine(engine)
-        except Exception as exc:  # noqa: BLE001 - the audit crashing IS a finding
-            audit = AnalysisReport()
-            audit.add(
-                "AU100",
-                ERROR,
-                "engine",
-                f"post-compile audit crashed: {type(exc).__name__}: {exc}",
-            )
-            report.audit = audit
-        report.phases["audit"] = time.perf_counter() - tick
-
-    def _prove(
-        self, engine: object, patterns: list[Pattern], report: CompileReport
-    ) -> None:
-        """Prove the shipped engine equivalent to the surviving patterns.
-
-        Like the audit, the proof is an escort, not a gate: a divergence
-        or a budget-bounded walk lands as EQ findings on the report's
-        ``proof`` field and the engine still ships.  Callers that want
-        fail-closed semantics check ``report.proof.has_errors`` (or use
-        ``compile_mfa(prove=True)``).
-        """
-        from ..analyze import AnalysisReport, analyze_engine_equivalence
-        from ..analyze.report import ERROR
-
-        tick = time.perf_counter()
-        try:
-            report.proof = analyze_engine_equivalence(engine, patterns)
-        except Exception as exc:  # noqa: BLE001 - a prover crash IS a finding
-            proof = AnalysisReport()
-            proof.add(
-                "EQ100",
-                ERROR,
-                "equivalence",
-                f"prover crashed: {type(exc).__name__}: {exc}",
-            )
-            report.proof = proof
-        report.phases["prove"] = time.perf_counter() - tick
-
-    def _adversary(self, engine: object, report: CompileReport) -> None:
-        """Worst-case cost audit of the shipped engine; findings advisory.
-
-        Static witness synthesis only — the escort never replays traffic
-        (that is ``mfa-bench audit`` / ``bench_adversarial.py`` work).
-        """
-        from ..analyze import AnalysisReport, analyze_engine_adversary
-        from ..analyze.report import ERROR
-
-        tick = time.perf_counter()
-        try:
-            report.adversary = analyze_engine_adversary(engine).report
-        except Exception as exc:  # noqa: BLE001 - an audit crash IS a finding
-            adversary = AnalysisReport()
-            adversary.add(
-                "AV100",
-                ERROR,
-                "adversary",
-                f"adversarial audit crashed: {type(exc).__name__}: {exc}",
-            )
-            report.adversary = adversary
-        report.phases["adversary"] = time.perf_counter() - tick
-
-    def _ruleset(self, patterns: list[Pattern], report: CompileReport) -> None:
-        """Cross-rule interaction analysis of the input patterns; advisory.
-
-        Runs on the surviving (non-quarantined) patterns, not the engine:
-        duplicate / subsumption / shadowing proofs with replay-confirmed
-        witnesses land as RS findings on the report's ``ruleset`` field.
-        Like every escort, a crash is itself a finding — never fatal.
-        """
-        from ..analyze import AnalysisReport, analyze_ruleset
-        from ..analyze.report import ERROR
-
-        tick = time.perf_counter()
-        try:
-            report.ruleset = analyze_ruleset(
-                patterns, splitter_options=self.splitter_options
-            ).report
-        except Exception as exc:  # noqa: BLE001 - an analysis crash IS a finding
-            ruleset = AnalysisReport()
-            ruleset.add(
-                "RS100",
-                ERROR,
-                "ruleset",
-                f"cross-rule analysis crashed: {type(exc).__name__}: {exc}",
-            )
-            report.ruleset = ruleset
-        report.phases["ruleset"] = time.perf_counter() - tick
 
 
 def compile_resilient(

@@ -72,25 +72,11 @@ class CompileReport:
     # filter-gen), accumulated across shards and worker processes.
     phases: dict[str, float] = field(default_factory=dict)
     n_shards: int = 1
-    # Static-analysis escort (when CompileLimits.analyze is on): the
-    # pre-compile explosion triage and the post-compile audit of the
-    # shipped engine (repro.analyze.TriageResult / AnalysisReport).
+    # Pre-compile explosion triage (runs with the audit escort).
     triage: "TriageResult | None" = None
-    audit: "AnalysisReport | None" = None
-    # Equivalence proof of the shipped engine against the un-decomposed
-    # patterns (when CompileLimits.prove is on): EQ findings, including
-    # the explicit EQ110 when the proof was budget-bounded.
-    proof: "AnalysisReport | None" = None
-    # Adversarial worst-case audit of the shipped engine (when
-    # CompileLimits.adversary is on): AV findings with the predicted
-    # worst/clean cost ratios of every slow-path channel the artifact
-    # carries (repro.analyze.adversary; witnesses stay with the CLI).
-    adversary: "AnalysisReport | None" = None
-    # Cross-rule interaction analysis of the input patterns (when
-    # CompileLimits.ruleset is on): RS findings — duplicate / subsumed /
-    # shadowed rules with replay-confirmed witnesses, walk budgets, and
-    # the interaction census (repro.analyze.ruleset).
-    ruleset: "AnalysisReport | None" = None
+    # Escort name -> its findings, in run order (CompileLimits.escorts;
+    # the table is repro.analyze.escorts.ESCORTS).
+    findings: "dict[str, AnalysisReport]" = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -127,12 +113,7 @@ class CompileReport:
             "phases": {name: self.phases[name] for name in sorted(self.phases)},
             "n_shards": self.n_shards,
             "triage": self.triage.to_dict() if self.triage is not None else None,
-            "audit": self.audit.to_dict() if self.audit is not None else None,
-            "proof": self.proof.to_dict() if self.proof is not None else None,
-            "adversary": (
-                self.adversary.to_dict() if self.adversary is not None else None
-            ),
-            "ruleset": self.ruleset.to_dict() if self.ruleset is not None else None,
+            "findings": {name: found.to_dict() for name, found in self.findings.items()},
         }
 
     def describe(self) -> list[str]:
@@ -166,37 +147,13 @@ class CompileReport:
                 f"{name} {self.phases[name]:.2f}s" for name in sorted(self.phases)
             )
             lines.append(f"phases: {breakdown}")
-        if self.audit is not None:
-            counts = self.audit.counts()
+        for name, found in self.findings.items():
+            counts = found.counts()
             lines.append(
-                f"audit: {counts['error']} error(s), {counts['warning']} "
+                f"{name}: {counts['error']} error(s), {counts['warning']} "
                 f"warning(s), {counts['info']} info"
             )
-            lines.extend(f"  {f.describe()}" for f in self.audit)
-        if self.proof is not None:
-            counts = self.proof.counts()
-            verdict = "failed" if counts["error"] else (
-                "bounded" if counts["warning"] else "proved"
-            )
-            lines.append(
-                f"proof: {verdict} ({counts['error']} error(s), "
-                f"{counts['warning']} warning(s), {counts['info']} info)"
-            )
-            lines.extend(f"  {f.describe()}" for f in self.proof)
-        if self.adversary is not None:
-            counts = self.adversary.counts()
-            lines.append(
-                f"adversary: {counts['error']} error(s), {counts['warning']} "
-                f"warning(s), {counts['info']} info"
-            )
-            lines.extend(f"  {f.describe()}" for f in self.adversary)
-        if self.ruleset is not None:
-            counts = self.ruleset.counts()
-            lines.append(
-                f"ruleset: {counts['error']} error(s), {counts['warning']} "
-                f"warning(s), {counts['info']} info"
-            )
-            lines.extend(f"  {f.describe()}" for f in self.ruleset)
+            lines.extend(f"  {f.describe()}" for f in found)
         if self.engine_name is None:
             lines.append("no engine constructed")
         else:

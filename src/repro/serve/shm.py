@@ -128,13 +128,13 @@ def load_engine_from_buffer(
     buffer: "bytes | memoryview",
     engine: str = "mfa",
     mmap: bool = True,
-    prefilter: str | None = None,
+    prefilter: str = "auto",
 ) -> object:
     """Build a runnable engine over a segment buffer, copy-free by default.
 
     ``engine="fastpath"`` wraps each shard in the lockstep batch engine
     (its derived numpy tables are per-process working state, not artifact
-    copies); ``prefilter`` ("on"/"off"/"auto", default env-resolved) is
+    copies); ``prefilter`` ("on"/"off"/"auto", default ``auto``) is
     its required-literal prefilter mode.  With ``mmap=True`` the returned
     engine references the buffer — keep the segment open for as long as
     the engine lives.
@@ -197,7 +197,7 @@ class ArtifactSegment:
         return cls(shm, int(header["generation"]), owner=False)
 
     def load_engine(
-        self, engine: str = "mfa", mmap: bool = True, prefilter: str | None = None
+        self, engine: str = "mfa", mmap: bool = True, prefilter: str = "auto"
     ) -> object:
         return load_engine_from_buffer(
             self._shm.buf, engine=engine, mmap=mmap, prefilter=prefilter

@@ -133,52 +133,3 @@ class TestEngineScoping:
         result = analyze_adversary(c8, report, replay=False)
         assert result.report is report
         assert any(f.code == "AV130" for f in report)
-
-
-class TestCompilerEscort:
-    def test_resilient_compiler_records_adversary(self):
-        from repro.robust import ResilientCompiler
-        from repro.robust.limits import CompileLimits
-
-        result = ResilientCompiler(CompileLimits(adversary=True)).compile(
-            patterns_for("C8")
-        )
-        adversary = result.report.adversary
-        assert adversary is not None and not adversary.has_errors
-        assert any(f.code == "AV130" for f in adversary)
-        assert "adversary" in result.report.phases
-        assert result.report.to_dict()["adversary"] is not None
-        assert any("adversary:" in line for line in result.report.describe())
-
-    def test_resilient_compiler_skips_adversary_by_default(self):
-        from repro.robust import ResilientCompiler
-
-        result = ResilientCompiler().compile(patterns_for("C8"))
-        assert result.report.adversary is None
-        assert result.report.to_dict()["adversary"] is None
-
-    def test_escort_crash_becomes_av100(self, monkeypatch):
-        import repro.analyze as analyze_mod
-        from repro.robust import ResilientCompiler
-        from repro.robust.limits import CompileLimits
-
-        def explode(engine, report=None, **kwargs):
-            raise RuntimeError("seeded audit crash")
-
-        monkeypatch.setattr(analyze_mod, "analyze_engine_adversary", explode)
-        result = ResilientCompiler(CompileLimits(adversary=True)).compile(
-            patterns_for("C8")
-        )
-        assert result.ok  # never fatal: the crash is itself a finding
-        adversary = result.report.adversary
-        assert adversary is not None and adversary.has_errors
-        (finding,) = adversary.findings
-        assert finding.code == "AV100"
-        assert "seeded audit crash" in finding.message
-
-    def test_adversary_limit_from_env(self):
-        from repro.robust.limits import compile_limits_from_env
-
-        assert compile_limits_from_env({"REPRO_COMPILE_ADVERSARY": "1"}).adversary
-        assert not compile_limits_from_env({}).adversary
-        assert not compile_limits_from_env({"REPRO_COMPILE_ADVERSARY": "0"}).adversary

@@ -223,32 +223,6 @@ class TestCompileWiring:
         assert "EQ101" in str(excinfo.value)
         assert excinfo.value.report.has_errors
 
-    def test_resilient_compiler_records_proof(self):
-        from repro.robust import ResilientCompiler
-        from repro.robust.limits import CompileLimits
-
-        result = ResilientCompiler(CompileLimits(prove=True)).compile(
-            patterns_for("C8")
-        )
-        proof = result.report.proof
-        assert proof is not None and not proof.has_errors
-        assert {f.code for f in proof} == {"EQ130"}
-        assert "prove" in result.report.phases
-        assert result.report.to_dict()["proof"] is not None
-
-    def test_resilient_compiler_skips_proof_by_default(self):
-        from repro.robust import ResilientCompiler
-
-        result = ResilientCompiler().compile(patterns_for("C8"))
-        assert result.report.proof is None
-
-    def test_prove_limit_from_env(self):
-        from repro.robust.limits import compile_limits_from_env
-
-        assert compile_limits_from_env({"REPRO_COMPILE_PROVE": "1"}).prove
-        assert not compile_limits_from_env({}).prove
-        assert not compile_limits_from_env({"REPRO_COMPILE_PROVE": "0"}).prove
-
 
 class TestProveCli:
     def test_prove_set_exits_zero(self, capsys):

@@ -16,7 +16,7 @@ exercised):
 
 from dataclasses import replace
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analyze import prove_mfa
@@ -55,6 +55,9 @@ def _build(rules):
 
 
 @given(st.lists(decomposable_rule(), min_size=1, max_size=3))
+# A draw whose proof needs 274,083 product states: it closes only with the
+# budget below, so every run (a fresh checkout included) checks it.
+@example(["bca.*b.{1,4}c.*c", "c.{0,2}caaa.*ba.{1,4}bbaa", r"^ab[^\n]*c.{1,4}ccac.+c"])
 @settings(
     max_examples=60,
     deadline=None,
@@ -64,9 +67,9 @@ def test_compiling_rule_sets_prove_equivalent(rules):
     patterns, mfa = _build(rules)
     # The claim is "decomposable sets prove *fully*", not "within the
     # default budget": hypothesis can draw counted-gap sets whose product
-    # legitimately tops 50k states (e.g. three rules mixing .{1,4} and
-    # .{0,2} need ~55k), so give the walk headroom rather than flaking.
-    result = prove_mfa(mfa, patterns, state_budget=200_000)
+    # legitimately tops 50k states (the pinned example needs ~274k), so
+    # give the walk headroom rather than flaking.
+    result = prove_mfa(mfa, patterns, state_budget=400_000)
     assert result.equivalent and not result.bounded, (rules, result)
     assert result.counterexample is None
 

@@ -203,33 +203,3 @@ class TestShardPlanning:
 
     def test_partition_patterns_empty_input(self):
         assert partition_patterns([], 4) == []
-
-
-class TestEscort:
-    def test_compile_limits_env_flag(self, monkeypatch):
-        from repro.robust import compile_limits_from_env
-
-        monkeypatch.setenv("REPRO_COMPILE_RULESET", "1")
-        assert compile_limits_from_env().ruleset is True
-        monkeypatch.delenv("REPRO_COMPILE_RULESET")
-        assert compile_limits_from_env().ruleset is False
-
-    def test_resilient_compiler_attaches_ruleset_report(self):
-        from repro.robust import CompileLimits
-        from repro.robust.pipeline import ResilientCompiler
-
-        compiler = ResilientCompiler(limits=CompileLimits(ruleset=True))
-        result = compiler.compile([r".*\.exe", r".*cmd\.exe"])
-        report = result.report.ruleset
-        assert report is not None
-        assert any(f.code == "RS102" for f in report)
-        assert "ruleset" in result.report.phases
-        rendered = "\n".join(result.report.describe())
-        assert "ruleset:" in rendered
-        assert result.report.to_dict()["ruleset"] is not None
-
-    def test_escort_off_by_default(self):
-        from repro.robust.pipeline import ResilientCompiler
-
-        result = ResilientCompiler().compile([".*abc"])
-        assert result.report.ruleset is None

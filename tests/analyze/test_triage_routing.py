@@ -80,18 +80,17 @@ class TestBudgetRouting:
         assert not mfa_attempts[0].skipped
 
     def test_analyze_off_disables_triage_and_audit(self):
-        limits = CompileLimits(budget_schedule=(50, 50_000), analyze=False)
+        limits = CompileLimits(budget_schedule=(50, 50_000), escorts=frozenset())
         result = compile_resilient(DECOMPOSABLE, limits=limits)
         assert result.report.triage is None
-        assert result.report.audit is None
+        assert "audit" not in result.report.findings
         assert not any(a.skipped for a in result.report.attempts)
 
     def test_triage_and_audit_land_on_report(self):
         result = compile_resilient(DECOMPOSABLE)
         report = result.report
         assert report.triage is not None
-        assert report.audit is not None
-        assert not report.audit.has_errors
+        assert not report.findings["audit"].has_errors
         assert "triage" in report.phases and "audit" in report.phases
 
     def test_report_dict_is_deterministic(self):
@@ -99,7 +98,7 @@ class TestBudgetRouting:
         data = result.report.to_dict()
         assert list(data["phases"]) == sorted(data["phases"])
         assert data["triage"]["risk"] in ("low", "medium", "high")
-        assert data["audit"]["ok"] is True
+        assert data["findings"]["audit"]["ok"] is True
 
     def test_describe_mentions_skip_and_audit(self):
         limits = CompileLimits(budget_schedule=(50, 50_000))

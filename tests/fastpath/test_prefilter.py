@@ -108,11 +108,14 @@ class TestPlanBuilder:
         assert mixed.prefilter is None
 
     def test_min_literal_knob(self, monkeypatch):
+        # A parameter only: the plan is part of the cached artifact, so no
+        # environment variable outside the cache key may change it.
         monkeypatch.setenv("REPRO_PREFILTER_MIN_LITERAL", "4")
         short = compile_mfa([".*ab.*cd"])
-        assert build_prefilter(short) is None
+        assert short.prefilter is not None
+        assert build_prefilter(short, min_literal=4) is None
         long = compile_mfa([".*alpha.*omega"])
-        assert build_prefilter(long) is not None
+        assert build_prefilter(long, min_literal=4) is not None
 
     def test_deserialized_mfa_without_plan_builds_none(self, mfa):
         # A bundle round-trip drops split provenance; the plan must ride the
@@ -159,10 +162,11 @@ class TestModes:
             build_fastpath(mfa, prefilter="sometimes")
 
     def test_env_default(self, mfa, monkeypatch):
+        # The mode defaults to "auto" and no environment variable moves it.
         monkeypatch.setenv("REPRO_PREFILTER", "off")
-        assert build_fastpath(mfa).prefilter_mode == "off"
-        monkeypatch.delenv("REPRO_PREFILTER")
-        assert build_fastpath(mfa).prefilter_mode == "auto"
+        engine = build_fastpath(mfa)
+        assert engine.prefilter_mode == "auto"
+        assert engine.prefilter_active
 
     def test_off_never_builds_a_runtime(self, mfa):
         engine = build_fastpath(mfa, prefilter="off")

@@ -22,6 +22,7 @@ class TestCompileLimits:
         assert limits.budget_schedule == (DEFAULT_STATE_BUDGET,)
         assert limits.time_budget is None
         assert limits.fallback_chain == DEFAULT_FALLBACK_CHAIN
+        assert limits.escorts == {"audit"}
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="at least one budget"):

@@ -75,10 +75,10 @@ class TestQuarantine:
 
 class TestFallbackChain:
     def test_budget_escalation_recovers(self):
-        # analyze=False so the chain actually burns the 50-state budget
-        # instead of the triage skipping it; the skip path has its own
+        # No escorts, so no triage: the chain actually burns the 50-state
+        # budget instead of skipping it; the skip path has its own
         # coverage in tests/analyze/test_triage_routing.py.
-        limits = CompileLimits(budget_schedule=(50, 50_000), analyze=False)
+        limits = CompileLimits(budget_schedule=(50, 50_000), escorts=frozenset())
         result = compile_resilient(EXPLOSIVE, limits=limits)
         assert result.ok
         assert result.engine_name == "mfa"
