@@ -22,8 +22,10 @@ Run directly (CI does)::
 Exits non-zero on a stream mismatch, on an incremental rebuild touching
 more than one shard, on a bitset compile slower than the reference one
 (speedup below 1.0x, both modes), or (full mode only) when the speedups
-fall below the floors: bitset >= 1.5x at one job, sharded >= 3x at four
-jobs.
+fall below the floors: bitset >= 30x at one job, sharded >= 3x at four
+jobs.  On B217p the delta-row walk measures 60-70x and the per-group
+walk it replaced 15-20x, so the single-shot floor fails a return to
+resolving every alphabet group of every subset.
 """
 
 from __future__ import annotations
@@ -195,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: bitset construction slower than the reference walk", file=sys.stderr)
         return 1
     if not args.quick:
-        if bitset_speedup < 1.5:
-            print("FAIL: bitset construction below the 1.5x floor", file=sys.stderr)
+        if bitset_speedup < 30.0:
+            print("FAIL: bitset construction below the 30x floor", file=sys.stderr)
             return 1
         if sharded_speedup < 3.0:
             print("FAIL: sharded construction below the 3x floor", file=sys.stderr)

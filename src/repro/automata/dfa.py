@@ -44,7 +44,7 @@ class DfaExplosionError(RuntimeError):
     DFA": past a resource budget the engine gives up rather than thrash.
     """
 
-    def __init__(self, budget: int, reason: str = "states"):
+    def __init__(self, budget: int | float, reason: str = "states"):
         super().__init__(
             f"DFA subset construction exceeded the budget of {budget} {reason}"
         )
@@ -239,12 +239,15 @@ def build_dfa_from_nfa(
     the state budget alone would take minutes to trip.
 
     The walk itself is the bitset core of :mod:`repro.fastcompile.bitset`:
-    NFA state sets are Python ints and the per-group successor computation
-    is a handful of big-integer ORs, which is several times faster than the
-    classic frozenset expansion.  The frozenset version is retained as
+    NFA state sets are Python ints, each subset starts from its sticky
+    core's memoized row and resolves only the alphabet groups its other
+    members move on, and the dense rows come from one numpy gather per
+    chunk of states — tens of times faster than the classic frozenset
+    expansion on the large sets.  The frozenset version is retained as
     :func:`build_dfa_from_nfa_reference` for equivalence tests and the
     construction benchmark's pre-optimization baseline.  Both produce
-    byte-identical automata (same state numbering, same tables).
+    byte-identical automata (same state numbering, same tables) and trip
+    their budgets at the same subset.
     """
     from ..fastcompile.bitset import subset_construct
 
@@ -280,14 +283,14 @@ def build_dfa_from_nfa_reference(
     subsets: list[frozenset[int]] = [initial]
     group_rows: list[array] = []
 
-    deadline = None if time_budget is None else time.perf_counter() + time_budget
+    started = time.perf_counter()
 
     # Process subsets in index order; newly discovered subsets are appended,
     # so group_rows[i] always describes subsets[i].
     i = 0
     while i < len(subsets):
-        if deadline is not None and i % 512 == 0 and time.perf_counter() > deadline:
-            raise DfaExplosionError(int(time_budget), "seconds")
+        if time_budget is not None and i % 512 == 0 and time.perf_counter() - started > time_budget:
+            raise DfaExplosionError(time_budget, "seconds")
         subset = subsets[i]
         row = array("i", [0] * n_groups)
         for group in range(n_groups):

@@ -6,9 +6,10 @@ compile-side performance layer, mirroring what :mod:`repro.fastpath` does
 for the scan side, without changing any observable compile semantics:
 
 * :mod:`repro.fastcompile.bitset` — subset construction over int bitsets
-  and packed move vectors, with the moves of each subset's sticky
-  (full self-loop) core memoized (now the engine behind
-  :func:`repro.automata.dfa.build_dfa_from_nfa`);
+  (now the engine behind :func:`repro.automata.dfa.build_dfa_from_nfa`):
+  each subset's sticky (full self-loop) core contributes a memoized row
+  template, and the subset resolves only the alphabet groups its
+  transient members move on;
 * :mod:`repro.fastcompile.shards` — rule-set partitioning, process-pool
   shard compiles, per-shard artifact caching, and the
   :class:`ShardedMFA` recombination layer.
@@ -19,7 +20,7 @@ per-shard degradation, ``mfa-bench compile SET --shards N --jobs N`` from
 the CLI, and ``benchmarks/bench_construction.py`` for the numbers.
 """
 
-from .bitset import PACKED_LIMIT_BITS, subset_construct
+from .bitset import subset_construct
 from .shards import (
     ShardBuild,
     ShardedContext,
@@ -30,7 +31,6 @@ from .shards import (
 )
 
 __all__ = [
-    "PACKED_LIMIT_BITS",
     "ShardBuild",
     "ShardedContext",
     "ShardedMFA",

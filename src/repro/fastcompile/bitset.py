@@ -4,41 +4,50 @@ The classic subset walk (kept as
 :func:`repro.automata.dfa.build_dfa_from_nfa_reference`) spends nearly all
 of its time building Python ``set`` objects — one ``set.update`` per
 (subset member, alphabet group) pair, then a ``frozenset`` allocation and
-hash per candidate successor.  This module replaces every one of those
-structures with machine-word-dense Python ints:
+hash per candidate successor.  This module replaces those structures with
+Python ints, and resolves per subset only the alphabet groups on which it
+can differ from what an earlier subset already resolved:
 
 * an NFA state set is a single int with bit *s* set for member state *s*;
-* each NFA state's successors are precomputed as a **packed move vector** —
-  the per-alphabet-group target masks concatenated into one big int, one
-  byte-aligned field per group;
-* a subset's successors *for every group at once* are then the OR of its
-  members' move vectors, after which the combined vector is turned into
-  bytes once and each group's target mask is read off its byte slice;
+* each NFA state's moves are a sparse ``[(group, target mask)]`` list —
+  the groups it has no edge on cost nothing;
 * successor memoization keys the ``int`` masks directly — int hashing is a
   fraction of frozenset hashing.
 
 **Sticky core.**  Decomposition leaves every unanchored component with a
 ``.*`` head that loops to itself on every byte.  Such a *sticky* state,
 once in a subset, is in every later subset, and on the split rule sets
-sticky states are over 90% of each subset's members.  The walk therefore
+sticky states are most of each subset's members.  The walk therefore
 splits each subset into ``core = members & sticky`` and the transient
-rest: each distinct core's OR'd moves are computed once and memoized, so
-a subset costs one OR per *transient* member only.  Cores only grow along
-a path, so a walk meets few of them (3 on B217p's component DFA).
-Decision sets are likewise memoized per distinct set of deciding members.
+rest.  Cores only grow along a path, so a walk meets few of them (3 on
+B217p's component DFA), and per distinct core it memoizes
 
-For very large NFAs the packed vectors would get wide (``n_states *
-n_groups`` bits per state), so past :data:`PACKED_LIMIT_BITS` of total
-table the core falls back to per-group target masks (still ints, still no
-sets, still the sticky-core memo).  Both layouts explore subsets in
-exactly the reference discovery order, so the resulting DFA is
-byte-identical to the reference construction — same state numbering, same
-dense rows, same decision sets (property-tested).
+* the core's OR'd successor key for every group, and
+* a *row template*: for each group, the DFA state whose subset is exactly
+  the core's key, filled the first time a subset resolves that group to
+  that key.
 
-Budget semantics are unchanged: ``state_budget`` trips
-:class:`DfaExplosionError` with ``reason="states"`` (the default) and
-``time_budget`` trips it with ``reason="seconds"``, at the same check
-cadence as the reference walk.
+**Delta rows.**  A subset's successor on group *g* is its core's key
+unless a transient member moves on *g*.  So a subset copies its core's
+template and looks up only the groups its transient members touch plus
+the template's still unfilled slots, in ascending group order.  A skipped
+group would only have looked up a key an earlier subset already indexed,
+which discovers nothing; discovery order — and with it the state
+numbering, the dense rows, the decision sets and the points where
+``state_budget`` and ``time_budget`` trip — is exactly the reference
+walk's, so the DFA is byte-identical to the reference construction
+(property-tested).
+
+The group rows live in one flat ``array('i')``; the dense 256-entry rows
+are one numpy gather through ``group_of_byte`` per chunk of
+:data:`_GATHER_CHUNK` states, so the temporary stays a few MB at any
+state budget.  Decision sets are memoized per distinct set of deciding
+members.
+
+Budgets: ``state_budget`` trips :class:`DfaExplosionError` with
+``reason="states"`` (the default) and ``time_budget`` trips it with
+``reason="seconds"``, each reporting the budget as given, at the same
+check cadence as the reference walk.
 """
 
 from __future__ import annotations
@@ -46,16 +55,15 @@ from __future__ import annotations
 import time
 from array import array
 
+import numpy as np
+
 from ..automata.dfa import DEFAULT_STATE_BUDGET, DFA, DfaExplosionError
 from ..automata.nfa import NFA
 
-__all__ = ["subset_construct", "move_masks", "PACKED_LIMIT_BITS"]
+__all__ = ["subset_construct", "move_masks"]
 
-# Total packed-vector table size (bits) above which the core switches to
-# the per-group mask layout: n_states * field width * n_groups for the
-# full table, the field width being n_states rounded up to whole bytes.
-# 2**29 bits is 64 MB of move vectors — far beyond every bundled set.
-PACKED_LIMIT_BITS = 1 << 29
+# States per dense-row gather: 4,096 rows of 256 four-byte entries = 4 MB.
+_GATHER_CHUNK = 4096
 
 
 def move_masks(nfa: NFA, representatives: list[int]) -> list[list[int]]:
@@ -108,113 +116,90 @@ def subset_construct(
     group_of_byte, representatives = nfa.alphabet_groups()
     group_of_byte = array("i", group_of_byte)
     n_groups = len(representatives)
-    n = nfa.n_states
-    masks = move_masks(nfa, representatives)
 
+    moves: list[list[tuple[int, int]]] = []
     sticky = 0
-    for state, per_group in enumerate(masks):
+    for state, per_group in enumerate(move_masks(nfa, representatives)):
         bit = 1 << state
         if all(mask & bit for mask in per_group):
             sticky |= bit
+        moves.append([(group, mask) for group, mask in enumerate(per_group) if mask])
 
-    # Fields are whole bytes wide so each group's mask is a byte slice of
-    # the combined vector; the padding bits stay zero, so the field values
-    # (the successor keys) are the same ints as unpadded fields.
-    field = (n + 7) // 8
-    packed = n * 8 * field * n_groups <= PACKED_LIMIT_BITS
-    if packed:
-        vectors: list[int] = []
-        for per_group in masks:
-            vector = 0
-            for group, mask in enumerate(per_group):
-                if mask:
-                    vector |= mask << (group * 8 * field)
-            vectors.append(vector)
-        vector_bytes = field * n_groups
-        fields = [slice(g * field, (g + 1) * field) for g in range(n_groups)]
-        core_vectors: dict[int, int] = {}  # core -> its members' OR'd vector
-    else:
-        core_masks: dict[int, list[int]] = {}  # core -> OR'd per-group masks
+    # core -> (its OR'd key per group, row template, unfilled template slots)
+    cores: dict[int, tuple[list[int], array, set[int]]] = {}
 
     initial = 0
     for state in nfa.initial:
         initial |= 1 << state
     index_of: dict[int, int] = {initial: 0}
     subsets: list[int] = [initial]
-    group_rows: list[array] = []
+    # subsets[i]'s group row is group_rows[i * n_groups:(i + 1) * n_groups].
+    group_rows = array("i")
 
-    deadline = None if time_budget is None else time.perf_counter() + time_budget
+    started = time.perf_counter()
 
-    # Process subsets in index order; newly discovered subsets are appended,
-    # so group_rows[i] always describes subsets[i] (the discovery order is
-    # identical to the reference walk's, which keeps state numbering — and
-    # therefore the serialized automaton — byte-identical).
+    # Process subsets in index order; newly discovered subsets are appended
+    # in the reference walk's discovery order, which keeps state numbering
+    # — and therefore the serialized automaton — byte-identical.
     i = 0
     while i < len(subsets):
-        if deadline is not None and i % 512 == 0 and time.perf_counter() > deadline:
-            raise DfaExplosionError(int(time_budget), "seconds")
+        if time_budget is not None and i % 512 == 0 and time.perf_counter() - started > time_budget:
+            raise DfaExplosionError(time_budget, "seconds")
         members = subsets[i]
         core = members & sticky
-        transient = _bits(members ^ core)
-        row = array("i", [0] * n_groups)
-        if packed:
-            combined = core_vectors.get(core)
-            if combined is None:
-                combined = 0
-                for state in _bits(core):
-                    combined |= vectors[state]
-                core_vectors[core] = combined
-            for state in transient:
-                combined |= vectors[state]
-            view = memoryview(combined.to_bytes(vector_bytes, "little"))
-            for group, part in enumerate(fields):
-                key = int.from_bytes(view[part], "little")
-                target = index_of.get(key)
-                if target is None:
-                    target = len(subsets)
-                    if target >= state_budget:
-                        raise DfaExplosionError(state_budget)
-                    index_of[key] = target
-                    subsets.append(key)
-                row[group] = target
-        else:
-            keys = core_masks.get(core)
-            if keys is None:
-                keys = [0] * n_groups
-                for state in _bits(core):
-                    for group, mask in enumerate(masks[state]):
-                        keys[group] |= mask
-                core_masks[core] = keys
-            for group in range(n_groups):
-                key = keys[group]
-                for state in transient:
-                    key |= masks[state][group]
-                target = index_of.get(key)
-                if target is None:
-                    target = len(subsets)
-                    if target >= state_budget:
-                        raise DfaExplosionError(state_budget)
-                    index_of[key] = target
-                    subsets.append(key)
-                row[group] = target
-        group_rows.append(row)
+        memo = cores.get(core)
+        if memo is None:
+            core_keys = [0] * n_groups
+            for state in _bits(core):
+                for group, mask in moves[state]:
+                    core_keys[group] |= mask
+            memo = cores[core] = (core_keys, array("i", [-1]) * n_groups, set(range(n_groups)))
+        core_keys, template, unfilled = memo
+        # The successor key of every group a transient member moves on.
+        keys: dict[int, int] = {}
+        for state in _bits(members ^ core):
+            for group, mask in moves[state]:
+                keys[group] = keys.get(group, core_keys[group]) | mask
+        base = len(group_rows)
+        group_rows += template
+        for group in sorted(keys.keys() | unfilled):
+            key = keys.get(group, core_keys[group])
+            target = index_of.get(key)
+            if target is None:
+                target = len(subsets)
+                if target >= state_budget:
+                    raise DfaExplosionError(state_budget)
+                index_of[key] = target
+                subsets.append(key)
+            group_rows[base + group] = target
+            if group in unfilled and key == core_keys[group]:
+                template[group] = target
+                unfilled.discard(group)
         i += 1
 
-    # Expand compressed rows to dense 256-entry rows and collect decisions.
+    # Expand group rows to dense 256-entry rows, one gather per chunk.
+    table = np.frombuffer(group_rows, dtype=np.intc).reshape(-1, n_groups)
+    byte_groups = np.frombuffer(group_of_byte, dtype=np.intc)
+    rows: list[array] = []
+    for start in range(0, len(subsets), _GATHER_CHUNK):
+        dense = table[start : start + _GATHER_CHUNK].take(byte_groups, axis=1)
+        for entries in dense.view(np.uint8):
+            row = array("i")
+            row.frombytes(entries)
+            rows.append(row)
+
     # A subset's decisions depend only on its deciding members, so each
     # distinct deciding set is unioned once.
     nfa_accepts = nfa.accepts
     nfa_accepts_end = nfa.accepts_end
     deciding = 0
-    for state in range(n):
+    for state in range(nfa.n_states):
         if nfa_accepts[state] or nfa_accepts_end[state]:
             deciding |= 1 << state
     decisions: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    rows: list[array] = []
     accepts: list[tuple[int, ...]] = []
     accepts_end: list[tuple[int, ...]] = []
-    for members, group_row in zip(subsets, group_rows):
-        rows.append(array("i", map(group_row.__getitem__, group_of_byte)))
+    for members in subsets:
         key = members & deciding
         pair = decisions.get(key)
         if pair is None:

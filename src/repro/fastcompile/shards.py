@@ -308,7 +308,7 @@ def compile_shards(
         type_name, message, reason = info  # type: ignore[misc]
         if type_name == "DfaExplosionError":
             if time_budget is not None and reason == "seconds":
-                return DfaExplosionError(int(time_budget), "seconds")
+                return DfaExplosionError(time_budget, "seconds")
             return DfaExplosionError(state_budget, reason or "states")
         return RuntimeError(f"{type_name}: {message}")
 

@@ -142,6 +142,20 @@ class TestResilientSharding:
         assert 1 in ids  # ^GET / is rule 1, shard 0
         assert 5 in ids  # .*aab.*aba is rule 5, shard 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fractional_time_budget_survives_rebuild(self, jobs):
+        """A ``seconds`` explosion keeps its float budget whether a shard
+        raised it in process or it was rebuilt from a pool worker's tag.
+        A nanosecond budget trips every walk at its first deadline check."""
+        limits = CompileLimits(
+            budget_schedule=(10**9,), time_budget=1e-9, fallback_chain=("mfa", "nfa")
+        )
+        result = ResilientCompiler(limits=limits, shards=2, jobs=jobs).compile(self.EXPLOSIVE)
+        assert result.ok
+        failed = [attempt for attempt in result.report.attempts if not attempt.ok]
+        assert [attempt.shard for attempt in failed] == [0, 1]
+        assert all(attempt.error == "exceeded 1e-09 seconds" for attempt in failed)
+
     def test_sharded_matches_unsharded_resilient(self):
         rules = self.EASY + self.EXPLOSIVE
         plain = ResilientCompiler().compile(rules)

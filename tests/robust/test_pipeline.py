@@ -7,10 +7,13 @@ the report, and a fault-injected capture scans to completion with
 identical matches on the unaffected flows.
 """
 
+import itertools
 from io import BytesIO
+from types import SimpleNamespace
 
 import pytest
 
+import repro.fastcompile.bitset as bitset_module
 from repro.core import compile_mfa
 from repro.regex import parse
 from repro.robust import (
@@ -116,6 +119,16 @@ class TestFallbackChain:
         assert mfa_attempt.engine == "mfa"
         assert not mfa_attempt.ok
         assert "seconds" in mfa_attempt.error
+
+    def test_fractional_time_budget_recorded(self, monkeypatch):
+        # One simulated second per clock read: the walk's first deadline
+        # check trips the half-second budget, which the attempt reports
+        # as given, not truncated to 0.
+        clock = SimpleNamespace(perf_counter=itertools.count(1.0).__next__)
+        monkeypatch.setattr(bitset_module, "time", clock)
+        limits = CompileLimits(budget_schedule=(10**9,), time_budget=0.5)
+        result = compile_resilient(EXPLOSIVE, limits=limits)
+        assert result.report.attempts[0].error == "exceeded 0.5 seconds"
 
     def test_custom_chain_respected(self):
         limits = CompileLimits(budget_schedule=(50_000,), fallback_chain=("dfa",))
