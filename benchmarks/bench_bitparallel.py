@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     mfa = compile_mfa(list(patterns_for(args.set_name)), state_budget=STATE_BUDGET)
     compile_seconds = time.perf_counter() - start
     plain = build_fastpath(mfa, prefilter="off")
-    filtered = build_fastpath(mfa, prefilter="on")
+    filtered = build_fastpath(mfa, prefilter="auto")
 
     # Curve points: clean LL1 traffic, then rising Becchi match pressure.
     corpora = [("clean", build_clean_flows(n_flows, flow_bytes))]
@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             else compile_mfa(list(patterns_for(name)), state_budget=STATE_BUDGET)
         )
         set_engine = (
-            filtered if name == args.set_name else build_fastpath(set_mfa, prefilter="on")
+            filtered if name == args.set_name else build_fastpath(set_mfa, prefilter="auto")
         )
         trace = list(real_trace_flows(name, "C11"))
         diffs, events = stream_diffs(set_mfa, set_engine, trace)

@@ -222,9 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="JSON output path")
     args = parser.parse_args(argv)
 
+    from repro import config
     from repro.bench.harness import patterns_for, real_trace_flows
     from repro.fastpath import (
-        ArtifactCache,
         FastPathMFA,
         HAVE_NUMPY,
         compile_mfa_cached,
@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     flow_bytes = 3000 if args.quick else args.flow_bytes
     best_of = 2 if args.quick else 4
 
-    cache = ArtifactCache()
+    cache = config.artifact_cache()
     start = time.perf_counter()
     mfa, cache_hit = compile_mfa_cached(
         list(patterns_for(args.set_name)), state_budget=STATE_BUDGET, cache=cache
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         "cache": {
             "hit": cache_hit,
             "compile_seconds": round(compile_seconds, 4),
-            "directory": str(cache.directory),
+            "directory": str(cache.directory) if cache is not None else None,
         },
     }
     from conftest import write_results

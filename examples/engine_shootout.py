@@ -59,8 +59,8 @@ def main() -> None:
         hostile_cpb = cycles_per_byte(time.perf_counter_ns() - start, len(hostile))
         print(f"{name:6s} {benign_cpb:11.0f} {hostile_cpb:12.0f} {len(matches):8d}")
 
-    print("\n(CpB = cycles/byte at the configured clock; absolute values are"
-          " Python-scale, orderings are the result.)")
+    print("\n(CpB = cycles/byte at the paper machine's 2.4 GHz clock; absolute values"
+          " are Python-scale, orderings are the result.)")
 
 
 if __name__ == "__main__":

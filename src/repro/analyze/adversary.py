@@ -596,7 +596,7 @@ def replay_witness(
         saved_plan = mfa.prefilter
         mfa.prefilter = plan
         try:
-            engine = build_fastpath(mfa, prefilter="on")
+            engine = build_fastpath(mfa, prefilter="auto")
         finally:
             mfa.prefilter = saved_plan
         if engine.prefilter_active:

@@ -37,7 +37,6 @@ from .nfa import MatchEvent
 __all__ = [
     "CompressedDFA",
     "compress_dfa",
-    "resolve_compress_option",
     "DEFAULT_CHAIN_DEPTH",
     "ARTIFACT_WINDOW",
 ]
@@ -52,23 +51,6 @@ _SIGNATURE_BYTES = (0, 10, 13, 32, 47, 61, 65, 90, 97, 101, 110, 115, 122, 128, 
 # stops buying much ratio for its quadratic-ish cost.
 DEFAULT_CHAIN_DEPTH = 4
 ARTIFACT_WINDOW = 32
-
-
-def resolve_compress_option(value: "bool | int | None") -> int:
-    """Normalise a ``compress=`` option to a chain-depth bound (0 = off).
-
-    ``None`` and ``False`` mean dense (0), ``True`` maps to
-    :data:`DEFAULT_CHAIN_DEPTH`, and an explicit integer is the depth
-    bound itself (it must not be negative).
-    """
-    if value is True:
-        return DEFAULT_CHAIN_DEPTH
-    if value is None or value is False:
-        return 0
-    depth = int(value)
-    if depth < 0:
-        raise ValueError(f"compress depth must be >= 0, got {depth}")
-    return depth
 
 
 class CompressedDFA:

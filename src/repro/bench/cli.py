@@ -53,14 +53,17 @@ exits non-zero when the pruned set fails the equivalence prover or
 diverges from the unpruned stream on any tracked trace.
 
 Compiled MFAs are cached on disk between runs of the resilient commands
-(``~/.cache/repro-mfa``, override with ``REPRO_CACHE_DIR``); set
-``REPRO_COMPILE_CACHE=0`` to disable.
+and ``serve`` (``~/.cache/repro-mfa``, override with ``REPRO_CACHE_DIR``);
+set ``REPRO_COMPILE_CACHE=0`` to disable.  Every ``REPRO_*`` variable is
+parsed before any command runs (see :mod:`repro.config`); a malformed
+one exits with status 2 and names the variable.
 """
 
 from __future__ import annotations
 
 import argparse
 
+from .. import config
 from .figures import fig3_rows, fig4_collect, fig4_rows, fig5_collect, fig5_rows
 from .harness import all_set_names, build_engine, write_table
 from .report import generate_all
@@ -132,7 +135,7 @@ def _print_sharded_compile(set_name: str, shards: int, jobs: int) -> None:
         f"mfa sharded (shards={n_shards}, jobs={jobs}): "
         f"{engine.n_states} states in {seconds:.2f}s"
     )
-    for name in ("parse", "split", "determinize", "minimize", "filter-gen"):
+    for name in ("parse", "split", "determinize", "filter-gen"):
         if name in phases:
             print(f"  {name}: {phases[name]:.2f}s")
 
@@ -154,7 +157,7 @@ def _cmd_rscan(
 ) -> int:
     from collections import Counter
 
-    from ..robust import resilient_scan, scan_limits_from_env
+    from ..robust import resilient_scan
     from ..traffic.pcap import PcapError
     from .harness import build_resilient
 
@@ -179,7 +182,7 @@ def _cmd_rscan(
             print(f"fastpath unavailable for {result.engine_name}; scanning scalar")
     try:
         alerts, report = resilient_scan(
-            engine, pcap_path, limits=scan_limits_from_env(), batch_size=batch_size
+            engine, pcap_path, limits=config.scan_limits(), batch_size=batch_size
         )
     except (OSError, PcapError) as exc:
         # Tolerance covers records, not the preamble: a file that is not
@@ -215,28 +218,20 @@ def _cmd_serve(
     the capture drains, which is what the benchmark driver uses.
     """
     import json
-    import os
     import signal
     import threading
 
-    from ..fastpath import ArtifactCache
     from ..patterns import ruleset
     from ..serve import ControlServer, ScanDaemon, ServeConfig, serve_scan
     from .harness import STATE_BUDGET
 
-    cache = None
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir and os.environ.get("REPRO_COMPILE_CACHE", "1") != "0":
-        cache = ArtifactCache(os.path.join(cache_dir, "serve"))
-
-    config = ServeConfig(
-        workers=workers, engine=engine_choice, prefilter=prefilter, compress=compress
-    )
     daemon = ScanDaemon(
         list(ruleset(set_name).rules),
         shards=shards,
-        cache=cache,
-        config=config,
+        cache=config.artifact_cache(),
+        config=ServeConfig(
+            workers=workers, engine=engine_choice, prefilter=prefilter, compress=compress
+        ),
         state_budget=STATE_BUDGET,
     ).start()
     server = None
@@ -790,6 +785,9 @@ def _cmd_verify(set_name: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from ..automata.compress import DEFAULT_CHAIN_DEPTH
+    from ..fastpath.engine import PREFILTER_MODES
+
     parser = argparse.ArgumentParser(prog="mfa-bench", description=__doc__)
     parser.add_argument(
         "command",
@@ -860,14 +858,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--prefilter",
-        choices=("on", "off", "auto"),
+        choices=PREFILTER_MODES,
         default="auto",
         help="for 'scan'/'rscan'/'serve' with the fastpath engine: "
         "required-literal prefilter mode (auto enables it whenever the "
         "compiled plan exists; recorded in the scan/serve report)",
     )
-    from ..automata.compress import DEFAULT_CHAIN_DEPTH
-
     parser.add_argument(
         "--compress",
         nargs="?",
@@ -938,6 +934,10 @@ def main(argv: list[str] | None = None) -> int:
         "compiled from (bundles carry no original patterns)",
     )
     args = parser.parse_args(argv)
+    try:
+        config.check()
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
     if args.command == "table5":
         write_table("table5.txt", table5_rows())

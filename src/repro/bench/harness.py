@@ -7,7 +7,7 @@ cost and several figures need the same automata.  Construction wall time
 is recorded at build, so the Fig. 3 table reports real measurements even
 when another figure triggered the build.
 
-Tunables (environment):
+Tunables (environment, parsed by :mod:`repro.config`):
 
 * ``REPRO_TRACE_SCALE`` — multiplier on trace sizes (default 0.125; the
   paper's GB-scale corpora are scaled to what interpreted engines can
@@ -15,18 +15,23 @@ Tunables (environment):
 * ``REPRO_STATE_BUDGET`` — DFA subset-construction budget (default
   150,000 states; B217p is expected to exceed it, reproducing the paper's
   "could not be constructed");
-* ``REPRO_GHZ`` — clock used to express ns/byte as cycles-per-byte.
+* ``REPRO_DFA_TIME_BUDGET`` — wall clock of one DFA construction (60 s);
+* ``REPRO_RESULTS_DIR`` — where tables and traces land (``results``).
+
+MFA builds are always single-shot and never cached: construction wall
+time feeds the Fig. 3 table, and a cache hit would report load time as
+build time.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .. import config
 from ..automata import (
     DfaExplosionError,
     build_dfa,
@@ -46,8 +51,6 @@ __all__ = [
     "BuildResult",
     "TRACE_SCALE",
     "STATE_BUDGET",
-    "COMPILE_SHARDS",
-    "COMPILE_JOBS",
     "results_dir",
     "patterns_for",
     "build_engine",
@@ -60,14 +63,9 @@ __all__ = [
 
 ENGINES: tuple[str, ...] = ("nfa", "dfa", "hfa", "xfa", "mfa")
 
-TRACE_SCALE = float(os.environ.get("REPRO_TRACE_SCALE", "0.125"))
-STATE_BUDGET = int(os.environ.get("REPRO_STATE_BUDGET", "150000"))
-DFA_TIME_BUDGET = float(os.environ.get("REPRO_DFA_TIME_BUDGET", "60"))
-# Sharded parallel compilation (repro.fastcompile): number of rule shards
-# and worker processes for MFA builds.  Defaults keep the historical
-# single-shot path so figure tables measure the paper's construction.
-COMPILE_SHARDS = int(os.environ.get("REPRO_COMPILE_SHARDS", "1"))
-COMPILE_JOBS = int(os.environ.get("REPRO_COMPILE_JOBS", "1"))
+TRACE_SCALE = config.knob("REPRO_TRACE_SCALE")
+STATE_BUDGET = config.knob("REPRO_STATE_BUDGET")
+DFA_TIME_BUDGET = config.knob("REPRO_DFA_TIME_BUDGET")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +86,7 @@ class BuildResult:
 
 def results_dir() -> Path:
     """Where benchmark tables land (repo-level ``results/``)."""
-    path = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
+    path = config.knob("REPRO_RESULTS_DIR")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -100,28 +98,6 @@ def patterns_for(set_name: str) -> tuple[Pattern, ...]:
 
 
 def _build_mfa(patterns: Sequence[Pattern]) -> object:
-    """MFA build, optionally through the on-disk artifact cache.
-
-    The cache is *opt-in* here (``REPRO_BENCH_CACHE=1``) — construction
-    wall time feeds the Fig. 3 table, and a cache hit would report load
-    time as build time.  The CLI's resilient paths cache by default.
-    """
-    if os.environ.get("REPRO_BENCH_CACHE", "0") != "0":
-        from ..fastpath import ArtifactCache, compile_mfa_cached
-
-        mfa, _hit = compile_mfa_cached(
-            list(patterns), state_budget=STATE_BUDGET, cache=ArtifactCache()
-        )
-        return mfa
-    if COMPILE_SHARDS > 1:
-        from ..core import compile_mfa
-
-        return compile_mfa(
-            list(patterns),
-            state_budget=STATE_BUDGET,
-            shards=COMPILE_SHARDS,
-            jobs=COMPILE_JOBS,
-        )
     return build_mfa(patterns, state_budget=STATE_BUDGET)
 
 
@@ -167,8 +143,9 @@ def build_engine(set_name: str, engine_name: str) -> BuildResult:
 def build_resilient(set_name: str):
     """Resiliently compile a rule set through the engine fallback chain.
 
-    Uses the environment knobs (``REPRO_STATE_BUDGET`` seeds the
-    escalation schedule, ``REPRO_FALLBACK_CHAIN`` the chain); returns a
+    Uses the environment knobs (:func:`repro.config.compile_limits`:
+    ``REPRO_STATE_BUDGET`` seeds the escalation schedule,
+    ``REPRO_FALLBACK_CHAIN`` the chain); returns a
     :class:`repro.robust.pipeline.CompileResult` whose ``report`` the CLI
     renders.  Unlike :func:`build_engine` this never returns a failure —
     the chain bottoms out at the NFA.
@@ -176,20 +153,11 @@ def build_resilient(set_name: str):
     MFA attempts go through the on-disk artifact cache unless
     ``REPRO_COMPILE_CACHE=0`` — repeated ``rcompile``/``rscan`` runs of
     the same set load in milliseconds instead of re-running subset
-    construction.  ``REPRO_COMPILE_SHARDS``/``REPRO_COMPILE_JOBS`` (>1)
-    switch on the sharded parallel compiler with per-shard degradation.
+    construction.
     """
-    from ..fastpath import ArtifactCache
-    from ..fastpath.cache import cache_enabled
-    from ..robust import compile_limits_from_env
     from ..robust.pipeline import ResilientCompiler
 
-    compiler = ResilientCompiler(
-        limits=compile_limits_from_env(),
-        cache=ArtifactCache() if cache_enabled() else None,
-        shards=COMPILE_SHARDS,
-        jobs=COMPILE_JOBS,
-    )
+    compiler = ResilientCompiler(limits=config.compile_limits(), cache=config.artifact_cache())
     return compiler.compile(list(ruleset(set_name).rules))
 
 

@@ -100,8 +100,7 @@ def compile_mfa(
     phases: dict[str, float] | None = None,
     lint: bool = False,
     prove: bool = False,
-    prefilter: bool = True,
-    compress: "bool | int | None" = None,
+    compress: int = 0,
     shard_plan: str = "contiguous",
 ) -> MFA:
     """Parse, split and compile a rule set into a match-filtering automaton.
@@ -122,7 +121,7 @@ def compile_mfa(
     :class:`repro.fastpath.ArtifactCache`) keys each shard separately so
     one-rule edits rebuild one shard.  ``phases`` is an out-dict
     accumulating per-phase wall time (``parse``/``split``/``determinize``/
-    ``minimize``/``filter-gen``).
+    ``filter-gen``/``prefilter``).
 
     ``lint=True`` runs the ``audit`` escort (the static verifier,
     :mod:`repro.analyze.escorts`) over the compiled engine and raises
@@ -139,14 +138,14 @@ def compile_mfa(
     report, which does not raise; gate on it explicitly if bounded
     proofs are unacceptable.
 
-    ``prefilter`` attaches the required-literal prefilter plan to the
-    compiled artifact (and into its serialized bundle) when the rule set
-    supports one; see :mod:`repro.fastpath.prefilter`.  Purely a scan-time
-    accelerator — it never changes the match stream.
+    The compiled artifact (and its serialized bundle) carries the
+    required-literal prefilter plan whenever the rule set supports one;
+    see :mod:`repro.fastpath.prefilter`.  Purely a scan-time accelerator —
+    it never changes the match stream.
 
-    ``compress`` attaches a default-transition forest so the artifact
-    serialises in the compressed tier (see
-    :func:`repro.core.mfa.build_mfa`); ``None`` keeps it dense.
+    ``compress`` (a chain-depth bound) attaches a default-transition
+    forest so the artifact serialises in the compressed tier (see
+    :func:`repro.core.mfa.build_mfa`); 0 keeps it dense.
     """
     if lint or prove:
         engine = compile_mfa(
@@ -159,7 +158,6 @@ def compile_mfa(
             time_budget=time_budget,
             cache=cache,
             phases=phases,
-            prefilter=prefilter,
             compress=compress,
             shard_plan=shard_plan,
         )
@@ -185,7 +183,6 @@ def compile_mfa(
             jobs=jobs,
             cache=cache,
             phases=phases,
-            prefilter=prefilter,
             compress=compress,
             shard_plan=shard_plan,
         )
@@ -201,7 +198,6 @@ def compile_mfa(
         state_budget=state_budget,
         time_budget=time_budget,
         phases=phases,
-        prefilter=prefilter,
         compress=compress,
     )
 

@@ -247,38 +247,38 @@ def build_mfa(
     patterns: Sequence[Pattern],
     splitter_options: SplitterOptions | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    minimize: bool = False,
     time_budget: float | None = None,
     phases: dict[str, float] | None = None,
-    prefilter: bool = True,
-    compress: "bool | int | None" = None,
+    compress: int = 0,
 ) -> MFA:
     """Split a rule set and compile the component DFA (paper Figure 1).
 
-    ``minimize`` runs Hopcroft minimization on the component DFA; the
-    paper's reported MFA state counts are unminimized, so this defaults
-    off (the ablation benchmark measures the residual savings).
+    The component DFA stays unminimized, as the paper's reported MFA
+    state counts are (the ablation benchmark measures what
+    :func:`~repro.automata.minimize.minimize_dfa` would save).
     ``time_budget`` bounds the subset construction's wall time in seconds
     (see :func:`~repro.automata.dfa.build_dfa_from_nfa`).
 
     ``phases`` is an out-parameter: pass a dict and the wall time of each
-    compile phase (``split``, ``determinize``, ``minimize``,
-    ``filter-gen``, ``prefilter``) is *added* to it, so repeated/sharded
-    builds accumulate into one breakdown.
+    compile phase (``split``, ``determinize``, ``filter-gen``,
+    ``prefilter``) is *added* to it, so repeated/sharded builds
+    accumulate into one breakdown.
 
-    ``prefilter`` attaches a required-literal prefilter plan (pure-Python
-    AST analysis, a few microseconds per rule) when the component set
+    The required-literal prefilter plan (pure-Python AST analysis, a few
+    microseconds per rule) is attached whenever the component set
     supports one; the plan rides the bundle and is purely a scan-time
-    accelerator — disabling it never changes match semantics.
+    accelerator — it never changes match semantics.
 
-    ``compress`` attaches a default-transition forest
-    (:func:`repro.automata.compress.compress_dfa`) so the bundle
-    serialises in the compressed artifact tier: ``True`` uses the default
-    chain-depth bound, an integer sets the bound, ``None``/``False``
-    keep it dense.  Purely a storage tier — the in-memory
-    engine keeps its dense table and match semantics are untouched.
+    ``compress`` is a chain-depth bound: a positive value attaches a
+    default-transition forest (:func:`repro.automata.compress.compress_dfa`)
+    so the bundle serialises in the compressed artifact tier, and 0 keeps
+    it dense.  Purely a storage tier — the in-memory engine keeps its
+    dense table and match semantics are untouched.
     """
     import time as _time
+
+    if compress < 0:
+        raise ValueError(f"compress depth must be >= 0, got {compress}")
 
     def _mark(phase: str, since: float) -> float:
         now = _time.perf_counter()
@@ -291,24 +291,17 @@ def build_mfa(
     tick = _mark("split", tick)
     dfa = build_dfa(split.components, state_budget=state_budget, time_budget=time_budget)
     tick = _mark("determinize", tick)
-    if minimize:
-        from ..automata.minimize import minimize_dfa
-
-        dfa = minimize_dfa(dfa)
-        tick = _mark("minimize", tick)
     mfa = MFA(dfa, split.program, split)
     tick = _mark("filter-gen", tick)
-    if prefilter:
-        # Imported lazily: the plan builder lives with the engine that
-        # consumes it, and core must not depend on fastpath at import time.
-        from ..fastpath.prefilter import build_prefilter
+    # Imported lazily: the plan builder lives with the engine that
+    # consumes it, and core must not depend on fastpath at import time.
+    from ..fastpath.prefilter import build_prefilter
 
-        mfa.prefilter = build_prefilter(mfa)
-        tick = _mark("prefilter", tick)
-    from ..automata.compress import ARTIFACT_WINDOW, compress_dfa, resolve_compress_option
+    mfa.prefilter = build_prefilter(mfa)
+    tick = _mark("prefilter", tick)
+    if compress:
+        from ..automata.compress import ARTIFACT_WINDOW, compress_dfa
 
-    depth = resolve_compress_option(compress)
-    if depth:
-        mfa.compressed = compress_dfa(dfa, window=ARTIFACT_WINDOW, max_depth=depth)
+        mfa.compressed = compress_dfa(dfa, window=ARTIFACT_WINDOW, max_depth=compress)
         _mark("compress", tick)
     return mfa

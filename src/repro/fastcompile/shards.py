@@ -200,15 +200,7 @@ def _compile_shard_worker(
     """
     from ..core.serialize import dumps_mfa
 
-    (
-        patterns,
-        splitter_options,
-        state_budget,
-        time_budget,
-        minimize,
-        prefilter,
-        compress,
-    ) = payload
+    patterns, splitter_options, state_budget, time_budget, compress = payload
     phases: dict[str, float] = {}
     tick = time.perf_counter()
     try:
@@ -216,10 +208,8 @@ def _compile_shard_worker(
             patterns,
             splitter_options,
             state_budget=state_budget,
-            minimize=minimize,
             time_budget=time_budget,
             phases=phases,
-            prefilter=prefilter,
             compress=compress,
         )
     except Exception as exc:  # noqa: BLE001 - reported to the parent
@@ -229,40 +219,16 @@ def _compile_shard_worker(
     return True, dumps_mfa(mfa), phases, time.perf_counter() - tick
 
 
-def _shard_cache_key(
-    shard: Sequence[Pattern],
-    splitter_options: SplitterOptions | None,
-    parser_options: ParserOptions | None,
-    state_budget: int,
-    minimize: bool,
-    prefilter: bool,
-    compress: int,
-) -> str:
-    from ..fastpath.cache import cache_key
-
-    return cache_key(
-        list(shard),
-        splitter_options=splitter_options,
-        parser_options=parser_options,
-        state_budget=state_budget,
-        minimize=minimize,
-        prefilter=prefilter,
-        compress=compress,
-    )
-
-
 def compile_shards(
     shard_patterns: Sequence[Sequence[Pattern]],
     splitter_options: SplitterOptions | None = None,
     parser_options: ParserOptions | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
     time_budget: float | None = None,
-    minimize: bool = False,
     jobs: int = 1,
     cache=None,
     phases: dict[str, float] | None = None,
-    prefilter: bool = True,
-    compress: "bool | int | None" = None,
+    compress: int = 0,
 ) -> list[ShardBuild]:
     """Compile each shard to an MFA, in parallel when ``jobs > 1``.
 
@@ -273,20 +239,20 @@ def compile_shards(
     is looked up and stored under its own content key, which is what
     makes one-rule edits rebuild one shard.
     """
-    from ..automata.compress import resolve_compress_option
     from ..core.serialize import loads_mfa
+    from ..fastpath.cache import cache_key
 
-    # Resolve env-deferred options once here so pool workers and cache
-    # keys see one explicit chain-depth integer.
-    depth = resolve_compress_option(compress)
     results: list[ShardBuild | None] = [None] * len(shard_patterns)
     keys: list[str | None] = [None] * len(shard_patterns)
     to_build: list[int] = []
     for index, shard in enumerate(shard_patterns):
         if cache is not None:
-            keys[index] = _shard_cache_key(
-                shard, splitter_options, parser_options, state_budget, minimize,
-                prefilter, depth,
+            keys[index] = cache_key(
+                list(shard),
+                splitter_options=splitter_options,
+                parser_options=parser_options,
+                state_budget=state_budget,
+                compress=compress,
             )
             tick = time.perf_counter()
             cached = cache.load(keys[index])
@@ -315,15 +281,7 @@ def compile_shards(
     workers = min(jobs, len(to_build))
     if workers > 1:
         payloads = [
-            (
-                list(shard_patterns[index]),
-                splitter_options,
-                state_budget,
-                time_budget,
-                minimize,
-                prefilter,
-                depth,
-            )
+            (list(shard_patterns[index]), splitter_options, state_budget, time_budget, compress)
             for index in to_build
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -344,11 +302,9 @@ def compile_shards(
                     shard_patterns[index],
                     splitter_options,
                     state_budget=state_budget,
-                    minimize=minimize,
                     time_budget=time_budget,
                     phases=sub_phases,
-                    prefilter=prefilter,
-                    compress=depth,
+                    compress=compress,
                 )
                 results[index] = ShardBuild(
                     built, None, False, time.perf_counter() - tick
@@ -373,13 +329,11 @@ def compile_mfa_sharded(
     parser_options: ParserOptions | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
     time_budget: float | None = None,
-    minimize: bool = False,
     shards: int = 2,
     jobs: int = 1,
     cache=None,
     phases: dict[str, float] | None = None,
-    prefilter: bool = True,
-    compress: "bool | int | None" = None,
+    compress: int = 0,
     shard_plan: str = "contiguous",
 ) -> ShardedMFA | MFA:
     """Parse, partition and compile a rule set as parallel shards.
@@ -411,11 +365,9 @@ def compile_mfa_sharded(
             parser_options,
             state_budget,
             time_budget,
-            minimize,
             jobs=1,
             cache=cache,
             phases=phases,
-            prefilter=prefilter,
             compress=compress,
         )[0]
         if built.error is not None:
@@ -439,11 +391,9 @@ def compile_mfa_sharded(
         parser_options,
         state_budget,
         time_budget,
-        minimize,
         jobs=jobs,
         cache=cache,
         phases=phases,
-        prefilter=prefilter,
         compress=compress,
     )
     for built in results:

@@ -11,10 +11,11 @@ error.  Bundles are the versioned format from
 :mod:`repro.core.serialize`, written atomically (tmp file + rename) so a
 crashed writer cannot poison later runs.
 
-The cache directory resolves, in order: an explicit ``directory``
-argument, ``$REPRO_CACHE_DIR``, and ``~/.cache/repro-mfa``.  Setting
-``REPRO_COMPILE_CACHE=0`` disables every cache lookup and store without
-touching call sites.
+The cache directory is an explicit ``directory`` argument, else
+``~/.cache/repro-mfa`` (``$XDG_CACHE_HOME`` honoured).  The entry points
+build their cache with :func:`repro.config.artifact_cache`, which reads
+``REPRO_CACHE_DIR`` and returns ``None`` under ``REPRO_COMPILE_CACHE=0``;
+everywhere, ``cache=None`` means no cache.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from ..regex.parser import ParserOptions
 __all__ = [
     "ArtifactCache",
     "cache_key",
-    "cache_enabled",
     "compile_mfa_cached",
     "default_cache_dir",
 ]
@@ -50,15 +50,7 @@ __all__ = [
 CACHE_FORMAT = 3
 
 
-def cache_enabled() -> bool:
-    """Global kill switch: ``REPRO_COMPILE_CACHE=0`` disables caching."""
-    return os.environ.get("REPRO_COMPILE_CACHE", "1") != "0"
-
-
 def default_cache_dir() -> Path:
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
     return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "repro-mfa"
 
 
@@ -77,18 +69,13 @@ def cache_key(
     splitter_options: SplitterOptions | None = None,
     parser_options: ParserOptions | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    minimize: bool = False,
-    prefilter: bool = True,
     compress: int = 0,
-    extra: dict | None = None,
 ) -> str:
     """Deterministic key over every input that shapes the compiled MFA.
 
-    ``prefilter`` is keyed because it changes the serialized bundle (a
-    version-2 bundle carries the plan section) even though it never
-    changes match semantics.  ``compress`` (a resolved chain-depth bound,
-    0 = dense) is keyed for the same reason: it selects the DFA section's
-    encoding tier.
+    ``compress`` (a chain-depth bound, 0 = dense) is keyed because it
+    selects the DFA section's encoding tier, even though it never changes
+    match semantics.
     """
     doc = {
         "format": CACHE_FORMAT,
@@ -96,10 +83,7 @@ def cache_key(
         "splitter": asdict(splitter_options or SplitterOptions()),
         "parser": asdict(parser_options or ParserOptions()),
         "state_budget": state_budget,
-        "minimize": minimize,
-        "prefilter": prefilter,
         "compress": compress,
-        "extra": extra or {},
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -126,8 +110,6 @@ class ArtifactCache:
         between our read and our unlink, and we would delete *their*
         entry, not the garbage we parsed.
         """
-        if not cache_enabled():
-            return None
         path = self.path_for(key)
         try:
             fd = os.open(path, os.O_RDONLY)
@@ -167,7 +149,7 @@ class ArtifactCache:
             path.unlink(missing_ok=True)
 
     def store(self, key: str, mfa: MFA) -> Path | None:
-        """Atomically persist a bundle; returns its path (None if disabled).
+        """Atomically persist a bundle; returns its path (None if the write fails).
 
         Concurrent-writer safe on POSIX: every writer gets a unique
         ``mkstemp`` name in the cache directory (same filesystem, so the
@@ -178,8 +160,6 @@ class ArtifactCache:
         same key both publish a byte-identical bundle (the key pins every
         compile input), so last-rename-wins is harmless.
         """
-        if not cache_enabled():
-            return None
         path = self.path_for(key)
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -204,26 +184,24 @@ def compile_mfa_cached(
     parser_options: ParserOptions | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
     cache: ArtifactCache | None = None,
-    compress: "bool | int | None" = None,
+    compress: int = 0,
 ) -> tuple[MFA, bool]:
     """Compile a rule set, consulting the artifact cache first.
 
     Returns ``(mfa, hit)`` where ``hit`` says the engine was loaded rather
-    than built.  A fresh build is stored for the next caller.
+    than built.  A fresh build is stored for the next caller; without a
+    ``cache`` every call builds.
     """
-    from ..automata.compress import resolve_compress_option
     from ..core.compiler import compile_mfa
 
-    cache = cache if cache is not None else ArtifactCache()
-    depth = resolve_compress_option(compress)
     key = cache_key(
         rules,
         splitter_options=splitter_options,
         parser_options=parser_options,
         state_budget=state_budget,
-        compress=depth,
+        compress=compress,
     )
-    cached = cache.load(key)
+    cached = cache.load(key) if cache is not None else None
     if cached is not None:
         return cached, True
     mfa = compile_mfa(
@@ -231,7 +209,8 @@ def compile_mfa_cached(
         splitter_options=splitter_options,
         parser_options=parser_options,
         state_budget=state_budget,
-        compress=depth,
+        compress=compress,
     )
-    cache.store(key, mfa)
+    if cache is not None:
+        cache.store(key, mfa)
     return mfa, False

@@ -73,7 +73,7 @@ _DENSITY_FALLBACK_NUM = 3
 _DENSITY_FALLBACK_DEN = 8
 _HIST_CELL_CAP = 1 << 22
 
-_PREFILTER_MODES = ("on", "off", "auto")
+PREFILTER_MODES = ("auto", "off")
 
 
 def _apply_ops(ops, memory, absolute: int, engine_process, append) -> None:
@@ -115,30 +115,29 @@ class FastPathMFA:
     numpy every batch call degrades to the scalar engine, semantics
     unchanged.
 
-    ``prefilter`` selects the required-literal prefilter stage: ``"on"``
-    and ``"auto"`` (the default) use the compiled plan when one exists
-    (building it from split provenance on the fly if the MFA carries
-    none), ``"off"`` always scans every byte.  The prefiltered path is
-    byte-identical to the classic one — it only changes which bytes the
-    automaton walks.
+    ``prefilter`` selects the required-literal prefilter stage: ``"auto"``
+    (the default) uses the compiled plan when one exists (building it
+    from split provenance on the fly if the MFA carries none), ``"off"``
+    always scans every byte.  The prefiltered path is byte-identical to
+    the classic one — it only changes which bytes the automaton walks.
     """
+
+    # How many flows callers should aim to hand feed_batch/run_batch at
+    # once; advisory (any batch size works).
+    batch_hint = 64
 
     def __init__(
         self,
         mfa: MFA,
         segment_bytes: int | None = None,
-        batch_hint: int = 64,
         prefilter: str = "auto",
     ):
         if segment_bytes is not None and segment_bytes < 1:
             raise ValueError("segment_bytes must be positive")
         self.mfa = mfa
         self.segment_bytes = segment_bytes
-        # How many flows callers should aim to hand feed_batch/run_batch at
-        # once; advisory (any batch size works).
-        self.batch_hint = batch_hint
-        if prefilter not in _PREFILTER_MODES:
-            raise ValueError(f"prefilter must be one of {_PREFILTER_MODES}, got {prefilter!r}")
+        if prefilter not in PREFILTER_MODES:
+            raise ValueError(f"prefilter must be one of {PREFILTER_MODES}, got {prefilter!r}")
         self.prefilter_mode = prefilter
         self._prefilter_runtime: PrefilterRuntime | None = None
         self._vector_ready = False

@@ -1,10 +1,10 @@
 """Resilient pipeline layer: degrade gracefully, account for everything.
 
 See :mod:`repro.robust.pipeline` for the compile-side fallback chain and
-the tolerant scan, :mod:`repro.robust.limits` for every knob and its
-environment spelling, :mod:`repro.robust.faults` for the deterministic
-fault-injection harness, and ``docs/robustness.md`` for the operator
-story.
+the tolerant scan, :mod:`repro.robust.limits` for every knob (their
+environment spellings are parsed in :mod:`repro.config`),
+:mod:`repro.robust.faults` for the deterministic fault-injection harness,
+and ``docs/robustness.md`` for the operator story.
 """
 
 from .faults import (
@@ -25,8 +25,6 @@ from .limits import (
     DEFAULT_FALLBACK_CHAIN,
     CompileLimits,
     ScanLimits,
-    compile_limits_from_env,
-    scan_limits_from_env,
 )
 from .pipeline import CompileResult, ResilientCompiler, compile_resilient, resilient_scan
 from .report import CompileReport, EngineAttempt, RuleOutcome, ScanReport
@@ -47,8 +45,6 @@ __all__ = [
     "DEFAULT_FALLBACK_CHAIN",
     "CompileLimits",
     "ScanLimits",
-    "compile_limits_from_env",
-    "scan_limits_from_env",
     "CompileResult",
     "ResilientCompiler",
     "compile_resilient",

@@ -1,34 +1,16 @@
-"""Resource-limit knobs for the resilient pipeline, with env spellings.
+"""Resource limits of the resilient pipeline.
 
 Everything the degradation story tunes lives here so operators have one
 place to look: the compile side (:class:`CompileLimits` — state-budget
 escalation schedule, wall-time budget, engine fallback chain, compile
 escorts) and the scan side (:class:`~repro.traffic.flows.FlowLimits` —
 flow-table and per-flow caps, re-exported here as :data:`ScanLimits`).
-
-Every knob has an environment spelling (see :func:`compile_limits_from_env`
-and :func:`scan_limits_from_env`), used by ``mfa-bench rcompile``/``rscan``
-and the benchmark harness:
-
-======================  =====================================================
- variable                meaning
-======================  =====================================================
- REPRO_STATE_BUDGET      first DFA state budget of the escalation schedule
- REPRO_BUDGET_SCHEDULE   full comma-separated schedule (overrides the above)
- REPRO_DFA_TIME_BUDGET   per-attempt subset-construction wall-time budget (s)
- REPRO_FALLBACK_CHAIN    comma-separated engines, e.g. ``mfa,hybridfa,nfa``
- REPRO_COMPILE_ESCORTS   comma-separated escorts (empty: none), e.g. ``audit,prove``
- REPRO_MAX_FLOWS         concurrent-flow cap of the assembler / flow table
- REPRO_MAX_FLOW_BYTES    per-flow buffered-byte cap
- REPRO_MAX_FLOW_SEGS     per-flow buffered-segment cap
-======================  =====================================================
+Their environment spellings are parsed in one place, :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..automata.dfa import DEFAULT_STATE_BUDGET
 from ..traffic.flows import FlowLimits
@@ -37,8 +19,6 @@ __all__ = [
     "CompileLimits",
     "ScanLimits",
     "DEFAULT_FALLBACK_CHAIN",
-    "compile_limits_from_env",
-    "scan_limits_from_env",
 ]
 
 # The order the paper's feasibility argument implies: the MFA is the
@@ -111,49 +91,3 @@ class CompileLimits:
         """A geometric escalation schedule starting at ``first_budget``."""
         schedule = tuple(first_budget * factor**i for i in range(max(1, steps)))
         return cls(budget_schedule=schedule, **kwargs)
-
-
-def _env_int(environ: Mapping[str, str], name: str) -> int | None:
-    raw = environ.get(name)
-    return int(raw) if raw else None
-
-
-def compile_limits_from_env(environ: Mapping[str, str] | None = None) -> CompileLimits:
-    """Build :class:`CompileLimits` from ``REPRO_*`` environment knobs."""
-    environ = os.environ if environ is None else environ
-    raw_schedule = environ.get("REPRO_BUDGET_SCHEDULE")
-    if raw_schedule:
-        schedule = tuple(int(part) for part in raw_schedule.split(",") if part.strip())
-    else:
-        first = _env_int(environ, "REPRO_STATE_BUDGET") or DEFAULT_STATE_BUDGET
-        schedule = (first, first * 2, first * 4)
-    raw_time = environ.get("REPRO_DFA_TIME_BUDGET")
-    time_budget = float(raw_time) if raw_time else None
-    raw_chain = environ.get("REPRO_FALLBACK_CHAIN")
-    chain = (
-        tuple(part.strip() for part in raw_chain.split(",") if part.strip())
-        if raw_chain
-        else DEFAULT_FALLBACK_CHAIN
-    )
-    raw_escorts = environ.get("REPRO_COMPILE_ESCORTS")
-    escorts = (
-        frozenset(part.strip() for part in raw_escorts.split(",") if part.strip())
-        if raw_escorts is not None
-        else DEFAULT_ESCORTS
-    )
-    return CompileLimits(
-        budget_schedule=schedule,
-        time_budget=time_budget,
-        fallback_chain=chain,
-        escorts=escorts,
-    )
-
-
-def scan_limits_from_env(environ: Mapping[str, str] | None = None) -> FlowLimits:
-    """Build :class:`ScanLimits` from ``REPRO_*`` environment knobs."""
-    environ = os.environ if environ is None else environ
-    return FlowLimits(
-        max_flows=_env_int(environ, "REPRO_MAX_FLOWS"),
-        max_flow_bytes=_env_int(environ, "REPRO_MAX_FLOW_BYTES"),
-        max_flow_segments=_env_int(environ, "REPRO_MAX_FLOW_SEGS"),
-    )

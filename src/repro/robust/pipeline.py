@@ -81,17 +81,15 @@ class ResilientCompiler:
         cache=None,
         shards: int = 1,
         jobs: int = 1,
-        compress: "bool | int | None" = None,
+        compress: int = 0,
     ) -> None:
         self.limits = limits or CompileLimits()
         self.splitter_options = splitter_options
         self.parser_options = parser_options
-        # Default-transition compression of MFA artifacts (a resolved
-        # chain-depth bound; 0 = dense).  Applies to MFA builds only — the
-        # fallback engines have no compressed tier.
-        from ..automata.compress import resolve_compress_option
-
-        self.compress = resolve_compress_option(compress)
+        # Default-transition compression of MFA artifacts (a chain-depth
+        # bound; 0 = dense).  Applies to MFA builds only — the fallback
+        # engines have no compressed tier.
+        self.compress = compress
         # Optional repro.fastpath.ArtifactCache: MFA attempts consult it
         # before building and store fresh builds for the next run.  In
         # sharded mode each shard is keyed separately, so one-rule edits

@@ -68,8 +68,8 @@ class CompileReport:
     rules: list[RuleOutcome] = field(default_factory=list)
     attempts: list[EngineAttempt] = field(default_factory=list)
     engine_name: str | None = None
-    # Wall time per compile phase (parse/split/determinize/minimize/
-    # filter-gen), accumulated across shards and worker processes.
+    # Wall time per compile phase (parse/split/determinize/filter-gen/
+    # prefilter), accumulated across shards and worker processes.
     phases: dict[str, float] = field(default_factory=dict)
     n_shards: int = 1
     # Pre-compile explosion triage (runs with the audit escort).
@@ -175,7 +175,7 @@ class ScanReport:
     n_flows: int = 0
     n_alerts: int = 0
     # Prefilter disposition of the scan engine: the requested mode
-    # ("on"/"off"/"auto", None when the engine has no prefilter concept)
+    # ("auto"/"off", None when the engine has no prefilter concept)
     # and whether a compiled plan was actually active at scan time.
     prefilter_mode: str | None = None
     prefilter_active: bool = False

@@ -47,6 +47,7 @@ from ..automata.nfa import MatchEvent
 from ..core.compiler import compile_patterns
 from ..core.splitter import SplitterOptions
 from ..fastcompile.shards import compile_shards, partition_patterns
+from ..fastpath.engine import PREFILTER_MODES
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions
 from ..traffic.flows import FiveTuple, Flow, FlowAssembler, FlowLimits, FlowMatch, Packet
@@ -80,8 +81,8 @@ class ServeConfig:
 
     workers: int = 2
     engine: str = "mfa"
-    # Prefilter disposition for fastpath workers ("on"/"off"/"auto"); the
-    # mfa engine ignores it.  Recorded in the ServeReport either way.
+    # Prefilter disposition for fastpath workers ("auto"/"off"); the mfa
+    # engine ignores it.  Recorded in the ServeReport either way.
     prefilter: str = "auto"
     # Default-transition compression of the shared-memory bundles: a
     # chain-depth bound (0 = dense).  Workers map the compressed image
@@ -109,7 +110,7 @@ class ServeConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.engine not in ("mfa", "fastpath"):
             raise ValueError(f"unknown serve engine {self.engine!r}")
-        if self.prefilter not in ("on", "off", "auto"):
+        if self.prefilter not in PREFILTER_MODES:
             raise ValueError(f"unknown prefilter mode {self.prefilter!r}")
         if self.compress < 0:
             raise ValueError("compress chain depth must be >= 0")

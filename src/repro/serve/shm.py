@@ -134,7 +134,7 @@ def load_engine_from_buffer(
 
     ``engine="fastpath"`` wraps each shard in the lockstep batch engine
     (its derived numpy tables are per-process working state, not artifact
-    copies); ``prefilter`` ("on"/"off"/"auto", default ``auto``) is
+    copies); ``prefilter`` ("auto"/"off", default ``auto``) is
     its required-literal prefilter mode.  With ``mmap=True`` the returned
     engine references the buffer — keep the segment open for as long as
     the engine lives.

@@ -83,12 +83,18 @@ class FlowLimits:
 
     ``max_flows`` bounds concurrent flows (least-recently-updated flows
     are evicted first); ``max_flow_bytes``/``max_flow_segments`` bound
-    what a single flow may buffer.
+    what a single flow may buffer.  A cap must be at least 1.
     """
 
     max_flows: int | None = None
     max_flow_bytes: int | None = None
     max_flow_segments: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_flows", "max_flow_bytes", "max_flow_segments"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 1:
+                raise ValueError(f"{name} must be at least 1, not {cap!r}")
 
 
 @dataclass(slots=True)

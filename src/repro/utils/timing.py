@@ -2,15 +2,14 @@
 
 The paper reports cycles-per-byte measured with ``rdtsc`` on a 1.8–3 GHz
 i7-4500U.  Pure Python has no ``rdtsc``; we measure wall nanoseconds with
-``perf_counter_ns`` and convert at a configurable clock so results appear
-in the paper's unit.  Absolute values are meaningless to compare against a
-compiled OCaml engine — relative values between our engines are the
-reproduction target (DESIGN.md §4).
+``perf_counter_ns`` and convert at the paper machine's clock so results
+appear in the paper's unit.  Absolute values are meaningless to compare
+against a compiled OCaml engine — relative values between our engines are
+the reproduction target (DESIGN.md §4).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -18,8 +17,8 @@ from typing import Callable, Iterator
 
 __all__ = ["CYCLES_PER_NS", "Stopwatch", "cycles_per_byte", "time_call"]
 
-# i7-4500U nominal turbo clock; override with REPRO_GHZ.
-CYCLES_PER_NS = float(os.environ.get("REPRO_GHZ", "2.4"))
+# i7-4500U nominal turbo clock.
+CYCLES_PER_NS = 2.4
 
 
 @dataclass

@@ -110,3 +110,32 @@ class TestCompressFlag:
             ln for ln in compressed_out.splitlines() if "alerts" in ln
         ]
         assert dense_alerts == compressed_alerts
+
+
+class TestServeCommand:
+    def test_daemon_uses_the_default_artifact_cache(self, monkeypatch, tmp_path):
+        # Like rcompile/rscan, the daemon compiles through the default cache,
+        # so a control-socket reload rebuilds only the changed shard;
+        # REPRO_COMPILE_CACHE=0 turns it off.
+        import repro.serve as serve
+
+        class Built(Exception):
+            pass
+
+        seen = []
+
+        def fake_daemon(rules, **kwargs):
+            seen.append(kwargs["cache"])
+            raise Built
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(serve, "ScanDaemon", fake_daemon)
+        with pytest.raises(Built):
+            main(["serve", "C8", "--oneshot"])
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+        with pytest.raises(Built):
+            main(["serve", "C8", "--oneshot"])
+        assert seen[0].directory == tmp_path / "repro-mfa"
+        assert seen[1] is None

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_mfa, compile_dfa, compile_mfa
+from repro.automata import minimize_dfa
+from repro.core import MFA, build_mfa, compile_dfa, compile_mfa
 from repro.regex import parse_many
 
 RULES = [".*alpha.*omega", ".*abc[^\\n]*xyz", ".*start.{1,4}end0", "^HELO "]
@@ -148,7 +149,7 @@ class TestMinimizedBuild:
     def test_minimize_option(self):
         patterns = parse_many(RULES)
         plain = build_mfa(patterns)
-        small = build_mfa(patterns, minimize=True)
+        small = MFA(minimize_dfa(plain.dfa), plain.program, plain.split)
         assert small.n_states <= plain.n_states
         data = b"HELO alpha abc 1 xyz omega start 12 end0"
         assert sorted(small.run(data)) == sorted(plain.run(data))

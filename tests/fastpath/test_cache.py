@@ -7,10 +7,11 @@ also removed), atomicity of stores, and the global kill switch.
 
 import pytest
 
+from repro import config
 from repro.core import compile_mfa
 from repro.core.splitter import SplitterOptions
 from repro.fastpath import ArtifactCache, compile_mfa_cached
-from repro.fastpath.cache import cache_enabled, cache_key, default_cache_dir
+from repro.fastpath.cache import cache_key, default_cache_dir
 from repro.regex.parser import ParserOptions
 
 RULES = [".*alpha.*omega", ".*abc[^\\n]*xyz", "^HELO "]
@@ -49,10 +50,9 @@ class TestKey:
         base = cache_key(RULES)
         assert cache_key(RULES[:-1]) != base
         assert cache_key(RULES, state_budget=7) != base
-        assert cache_key(RULES, minimize=True) != base
+        assert cache_key(RULES, compress=4) != base
         assert cache_key(RULES, splitter_options=SplitterOptions(max_class_size=64)) != base
         assert cache_key(RULES, parser_options=ParserOptions(dotall=False)) != base
-        assert cache_key(RULES, extra={"v": 2}) != base
 
     def test_rule_order_matters(self):
         # match_id is positional, so reordering compiles a different engine.
@@ -80,26 +80,35 @@ class TestCorruption:
 
 
 class TestKillSwitch:
-    def test_disabled_never_touches_disk(self, cache, monkeypatch):
+    def test_disabled_never_touches_disk(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-        assert not cache_enabled()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        cache = config.artifact_cache()
+        assert cache is None
         mfa, hit = compile_mfa_cached(RULES, cache=cache)
         assert not hit
-        assert not cache.directory.exists()
-        assert cache.store(cache_key(RULES), mfa) is None
+        assert mfa.run(PAYLOAD) == compile_mfa(RULES).run(PAYLOAD)
+        assert not (tmp_path / "cache").exists()
 
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
-        assert cache_enabled()
+        assert config.artifact_cache() is not None
+
+    @pytest.mark.parametrize("value", ["no", "false", "off", "2"])
+    def test_anything_but_zero_or_one_rejected(self, value):
+        with pytest.raises(ValueError, match="REPRO_COMPILE_CACHE"):
+            config.artifact_cache({"REPRO_COMPILE_CACHE": value})
 
 
 class TestDirectoryResolution:
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert default_cache_dir() == tmp_path / "elsewhere"
-        assert ArtifactCache().directory == tmp_path / "elsewhere"
+        assert config.artifact_cache().directory == tmp_path / "elsewhere"
+        # The library layer itself reads no REPRO_* variable.
+        assert ArtifactCache().directory == default_cache_dir() != tmp_path / "elsewhere"
 
     def test_xdg_fallback(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert default_cache_dir() == tmp_path / "repro-mfa"
+        assert config.artifact_cache().directory == tmp_path / "repro-mfa"

@@ -42,8 +42,9 @@ def mfa():
 
 # Every batch/streaming property runs twice: once with the required-literal
 # prefilter off (pinning coverage of the classic lane/stitch machinery) and
-# once with it forced on (the candidate-window confirm kernel).
-@pytest.fixture(scope="module", params=["off", "on"])
+# once with it on (the candidate-window confirm kernel), which "auto" selects
+# whenever the MFA carries a plan.  The ids name whether the prefilter runs.
+@pytest.fixture(scope="module", params=["off", "auto"], ids=["off", "on"])
 def prefilter(request):
     # Module-scoped: the mode is pure configuration (no per-test state), and
     # hypothesis forbids function-scoped fixtures inside @given.

@@ -158,8 +158,10 @@ class TestSerialization:
 
 class TestModes:
     def test_mode_validation(self, mfa):
-        with pytest.raises(ValueError):
-            build_fastpath(mfa, prefilter="sometimes")
+        # The modes are exactly "auto" and "off".
+        for mode in ("sometimes", "on"):
+            with pytest.raises(ValueError):
+                build_fastpath(mfa, prefilter=mode)
 
     def test_env_default(self, mfa, monkeypatch):
         # The mode defaults to "auto" and no environment variable moves it.
@@ -196,7 +198,7 @@ class TestAdversarialCorpus:
 
     @pytest.mark.parametrize("payload", CASES, ids=range(len(CASES)))
     def test_single_flow(self, mfa, payload):
-        engine = build_fastpath(mfa, prefilter="on")
+        engine = build_fastpath(mfa, prefilter="auto")
         assert engine.prefilter_active
         assert_identical(mfa, engine, [payload], chunk=7)
 
@@ -204,7 +206,7 @@ class TestAdversarialCorpus:
         # "alpha...omega" straddling a chunk boundary at every offset: the
         # horizon head-interval must catch occurrences the new chunk's own
         # scan cannot see.
-        engine = build_fastpath(mfa, prefilter="on")
+        engine = build_fastpath(mfa, prefilter="auto")
         body = b"12345alpha67890omega12345"
         for chunk in range(1, len(body) + 1):
             assert_identical(mfa, engine, [body], chunk=chunk)
@@ -212,13 +214,13 @@ class TestAdversarialCorpus:
     def test_one_byte_literals(self):
         mfa = compile_mfa([".*a.*b.*c"])
         assert mfa.prefilter is not None
-        engine = build_fastpath(mfa, prefilter="on")
+        engine = build_fastpath(mfa, prefilter="auto")
         assert engine.prefilter_active
         payloads = [b"abc", b"a" * 5 + b"b" * 5 + b"c", b"cba", b"ab", b"c" * 30]
         assert_identical(mfa, engine, payloads, chunk=2)
 
     def test_mixed_batch_with_empty_and_huge_lanes(self, mfa):
-        engine = build_fastpath(mfa, prefilter="on")
+        engine = build_fastpath(mfa, prefilter="auto")
         payloads = [
             b"",
             b"alpha omega",
@@ -236,7 +238,7 @@ class TestAnchorMachinery:
         # commonness prior, so they collide on the same A-anchor gram and
         # the runtime must route that gram through the per-chain verify.
         mfa = compile_mfa([".*qqxaaaa", ".*qqxbbbb"])
-        engine = build_fastpath(mfa, prefilter="on")
+        engine = build_fastpath(mfa, prefilter="auto")
         assert engine.prefilter_active
         runtime = engine._prefilter_runtime
         assert runtime.ambig_a is not None or runtime.ambig_b is not None
@@ -253,7 +255,7 @@ class TestAnchorMachinery:
         # A length-2 chain has no odd-offset B pair, so occurrences at odd
         # positions must come from the ODD_HEAD/ODD_TAIL gram planes.
         mfa = compile_mfa([".*qz[^\\n]*jx"])
-        engine = build_fastpath(mfa, prefilter="on")
+        engine = build_fastpath(mfa, prefilter="auto")
         assert engine.prefilter_active
         runtime = engine._prefilter_runtime
         assert runtime.odd_chains
@@ -282,7 +284,7 @@ class TestSoundnessProperty:
     @given(payloads=payloads_strategy, chunk=st.sampled_from([None, 1, 5, 33]))
     @settings(max_examples=60, deadline=None)
     def test_never_skips_a_scalar_match(self, mfa, payloads, chunk):
-        engine = FastPathMFA(mfa, prefilter="on")
+        engine = FastPathMFA(mfa, prefilter="auto")
         assert_identical(mfa, engine, payloads, chunk=chunk)
 
     @given(
@@ -291,10 +293,10 @@ class TestSoundnessProperty:
     )
     @settings(max_examples=40, deadline=None)
     def test_random_bytes_with_no_literal_rule_in_set(self, payloads, chunk):
-        # One rule with no extractable literal: plan is None, "on" degrades
+        # One rule with no extractable literal: plan is None, "auto" degrades
         # to the classic path, streams still identical.
         mfa = compile_mfa([".*alpha.*omega", ".*[^x][^y]"])
-        engine = FastPathMFA(mfa, prefilter="on")
+        engine = FastPathMFA(mfa, prefilter="auto")
         assert not engine.prefilter_active
         assert_identical(mfa, engine, payloads, chunk=chunk)
 
@@ -310,7 +312,7 @@ class TestSoundnessProperty:
     )
     @settings(max_examples=60, deadline=None)
     def test_planted_literals_in_noise(self, mfa, payloads, chunk):
-        engine = FastPathMFA(mfa, prefilter="on")
+        engine = FastPathMFA(mfa, prefilter="auto")
         assert_identical(mfa, engine, payloads, chunk=chunk)
 
 
@@ -321,12 +323,12 @@ class TestReportPlumbing:
 
         key = FiveTuple(PROTO_TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
         packets = [Packet(key=key, payload=b"HELO alpha omega", seq=0)]
-        engine = build_fastpath(mfa, prefilter="on")
+        engine = build_fastpath(mfa, prefilter="auto")
         alerts, report = resilient_scan(engine, packets, batch_size=4)
-        assert report.prefilter_mode == "on"
+        assert report.prefilter_mode == "auto"
         assert report.prefilter_active is True
-        assert report.to_dict()["prefilter"] == {"mode": "on", "active": True}
-        assert any("prefilter: on (active)" in line for line in report.describe())
+        assert report.to_dict()["prefilter"] == {"mode": "auto", "active": True}
+        assert any("prefilter: auto (active)" in line for line in report.describe())
         assert alerts  # HELO matched
 
     def test_scalar_engine_reports_no_prefilter(self, mfa):

@@ -13,7 +13,8 @@ import repro.analyze as analyze_mod
 from repro.analyze import ESCORTS, AnalysisReport
 from repro.bench.harness import patterns_for
 from repro.core import LintError, ProofError, compile_mfa
-from repro.robust import CompileLimits, ResilientCompiler, compile_limits_from_env
+from repro import config
+from repro.robust import CompileLimits, ResilientCompiler
 
 pytestmark = pytest.mark.faults
 
@@ -102,7 +103,7 @@ class TestSelection:
         ids=["unset", "empty", "all", "spaced"],
     )
     def test_env_spelling(self, environ, expected):
-        assert compile_limits_from_env(environ).escorts == expected
+        assert config.compile_limits(environ).escorts == expected
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown escorts") as excinfo:
@@ -110,8 +111,8 @@ class TestSelection:
         assert all(name in str(excinfo.value) for name in ESCORTS)
 
     def test_unknown_env_name_rejected(self):
-        with pytest.raises(ValueError, match=r"\['proof'\]"):
-            compile_limits_from_env({"REPRO_COMPILE_ESCORTS": "audit,proof"})
+        with pytest.raises(ValueError, match=r"REPRO_COMPILE_ESCORTS=.*\['proof'\]"):
+            config.compile_limits({"REPRO_COMPILE_ESCORTS": "audit,proof"})
 
 
 def _seeded(code):

@@ -1,19 +1,13 @@
-"""CompileLimits/ScanLimits validation and environment parsing."""
+"""CompileLimits/ScanLimits validation and their environment spellings."""
 
 import pytest
 
+from repro import config
 from repro.automata.dfa import DEFAULT_STATE_BUDGET
-from repro.robust.limits import (
-    DEFAULT_FALLBACK_CHAIN,
-    CompileLimits,
-    ScanLimits,
-    compile_limits_from_env,
-    scan_limits_from_env,
-)
+from repro.robust.limits import DEFAULT_FALLBACK_CHAIN, CompileLimits, ScanLimits
 from repro.traffic.flows import FlowLimits
 
 pytestmark = pytest.mark.faults
-
 
 
 class TestCompileLimits:
@@ -54,32 +48,33 @@ class TestCompileLimits:
 
 class TestCompileEnv:
     def test_empty_environment_gives_defaults(self):
-        limits = compile_limits_from_env({})
-        assert limits.budget_schedule[0] == DEFAULT_STATE_BUDGET
+        # The one documented default of every verb: 150,000 states, 60 s.
+        limits = config.compile_limits({})
+        assert limits.budget_schedule == (150_000, 300_000, 600_000)
         assert limits.fallback_chain == DEFAULT_FALLBACK_CHAIN
-        assert limits.time_budget is None
+        assert limits.time_budget == 60.0
 
     def test_state_budget_seeds_geometric_schedule(self):
-        limits = compile_limits_from_env({"REPRO_STATE_BUDGET": "1000"})
+        limits = config.compile_limits({"REPRO_STATE_BUDGET": "1000"})
         assert limits.budget_schedule == (1000, 2000, 4000)
 
     def test_explicit_schedule_wins(self):
-        limits = compile_limits_from_env(
+        limits = config.compile_limits(
             {"REPRO_STATE_BUDGET": "1000", "REPRO_BUDGET_SCHEDULE": "5, 10, 20"}
         )
         assert limits.budget_schedule == (5, 10, 20)
 
     def test_time_budget(self):
-        limits = compile_limits_from_env({"REPRO_DFA_TIME_BUDGET": "2.5"})
+        limits = config.compile_limits({"REPRO_DFA_TIME_BUDGET": "2.5"})
         assert limits.time_budget == 2.5
 
     def test_fallback_chain(self):
-        limits = compile_limits_from_env({"REPRO_FALLBACK_CHAIN": "dfa, nfa"})
+        limits = config.compile_limits({"REPRO_FALLBACK_CHAIN": "dfa, nfa"})
         assert limits.fallback_chain == ("dfa", "nfa")
 
     def test_bad_chain_from_env_rejected(self):
         with pytest.raises(ValueError, match="unknown engines"):
-            compile_limits_from_env({"REPRO_FALLBACK_CHAIN": "zfa"})
+            config.compile_limits({"REPRO_FALLBACK_CHAIN": "zfa"})
 
 
 class TestScanEnv:
@@ -87,11 +82,11 @@ class TestScanEnv:
         assert ScanLimits is FlowLimits
 
     def test_empty_environment_unbounded(self):
-        limits = scan_limits_from_env({})
+        limits = config.scan_limits({})
         assert limits == FlowLimits()
 
     def test_all_knobs(self):
-        limits = scan_limits_from_env(
+        limits = config.scan_limits(
             {
                 "REPRO_MAX_FLOWS": "128",
                 "REPRO_MAX_FLOW_BYTES": "65536",

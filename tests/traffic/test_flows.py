@@ -257,6 +257,26 @@ class TestAssemblerLimits:
         # Nothing is lost: every flow either lives or was handed out.
         assert len(scanned) + len(assembler) == 50
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            {"max_flows": 0},
+            {"max_flows": -3},
+            {"max_flow_bytes": 0},
+            {"max_flow_bytes": -1},
+            {"max_flow_segments": 0},
+        ],
+        ids=["flows-0", "flows-neg", "bytes-0", "bytes-neg", "segments-0"],
+    )
+    def test_caps_below_one_rejected(self, caps):
+        # A zero flow cap leaves the LRU eviction nothing to evict, and a
+        # negative byte cap would drop every segment.
+        from repro.traffic.flows import FlowLimits
+
+        (name,) = caps
+        with pytest.raises(ValueError, match=name):
+            FlowLimits(**caps)
+
 
 class TestDispatchIsolation:
     RULES = [".*alpha.*omega"]

@@ -255,7 +255,9 @@ def batch_mfa():
 
 
 # Module-scoped: hypothesis forbids function-scoped fixtures inside @given.
-@pytest.fixture(scope="module", params=["off", "on"])
+# "auto" runs the prefilter whenever the MFA carries a plan; the ids name
+# whether the prefilter runs.
+@pytest.fixture(scope="module", params=["off", "auto"], ids=["off", "on"])
 def batch_engine(request, batch_mfa):
     return build_fastpath(batch_mfa, prefilter=request.param)
 
