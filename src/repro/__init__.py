@@ -12,91 +12,60 @@ Quickstart::
     mfa = repro.compile_mfa([".*cmd\\.exe.*system32", ".*user=[^\\n]*root"])
     for match in mfa.run(payload):
         print(match.pos, match.match_id)
+
+``import repro`` loads nothing else: each public name (and each
+subpackage) is imported on first use, see :mod:`repro._lazy`.
 """
 
-from .automata import (
-    DFA,
-    HFA,
-    NFA,
-    XFA,
-    DfaExplosionError,
-    MatchEvent,
-    build_dfa,
-    build_hfa,
-    build_nfa,
-    build_xfa,
-    minimize_dfa,
-)
-from .core import (
-    MFA,
-    FilterAction,
-    FilterEngine,
-    FilterProgram,
-    FlowContext,
-    SplitterOptions,
-    build_mfa,
-    compile_dfa,
-    compile_mfa,
-    compile_nfa,
-    split_patterns,
-    verify_equivalence,
-)
-from .fastpath import (
-    ArtifactCache,
-    FastPathMFA,
-    build_fastpath,
-    compile_mfa_cached,
-)
-from .regex import CharClass, Pattern, RegexSyntaxError, parse, parse_many
-from .robust import (
-    CompileLimits,
-    CompileReport,
-    ResilientCompiler,
-    ScanLimits,
-    compile_resilient,
-    resilient_scan,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DFA",
-    "HFA",
-    "NFA",
-    "XFA",
-    "DfaExplosionError",
-    "MatchEvent",
-    "build_dfa",
-    "build_hfa",
-    "build_nfa",
-    "build_xfa",
-    "minimize_dfa",
-    "MFA",
-    "FilterAction",
-    "FilterEngine",
-    "FilterProgram",
-    "FlowContext",
-    "SplitterOptions",
-    "build_mfa",
-    "compile_dfa",
-    "compile_mfa",
-    "compile_nfa",
-    "split_patterns",
-    "verify_equivalence",
-    "ArtifactCache",
-    "FastPathMFA",
-    "build_fastpath",
-    "compile_mfa_cached",
-    "CharClass",
-    "Pattern",
-    "RegexSyntaxError",
-    "parse",
-    "parse_many",
-    "CompileLimits",
-    "CompileReport",
-    "ResilientCompiler",
-    "ScanLimits",
-    "compile_resilient",
-    "resilient_scan",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "automata": (
+            "DFA",
+            "HFA",
+            "NFA",
+            "XFA",
+            "DfaExplosionError",
+            "MatchEvent",
+            "build_dfa",
+            "build_hfa",
+            "build_nfa",
+            "build_xfa",
+            "minimize_dfa",
+        ),
+        "core": (
+            "MFA",
+            "FilterAction",
+            "FilterEngine",
+            "FilterProgram",
+            "FlowContext",
+            "SplitterOptions",
+            "build_mfa",
+            "compile_dfa",
+            "compile_mfa",
+            "compile_nfa",
+            "split_patterns",
+            "verify_equivalence",
+        ),
+        "fastpath": (
+            "ArtifactCache",
+            "FastPathMFA",
+            "build_fastpath",
+            "compile_mfa_cached",
+        ),
+        "regex": ("CharClass", "Pattern", "RegexSyntaxError", "parse", "parse_many"),
+        "robust": (
+            "CompileLimits",
+            "CompileReport",
+            "ResilientCompiler",
+            "ScanLimits",
+            "compile_resilient",
+            "resilient_scan",
+        ),
+    },
+)
+__all__.append("__version__")

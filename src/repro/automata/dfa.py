@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from ..regex.ast import Pattern

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..regex.ast import Pattern
-from .dfa import DFA, DEFAULT_STATE_BUDGET, build_dfa
+from .dfa import DEFAULT_STATE_BUDGET, build_dfa
 from .nfa import MatchEvent
 
 if TYPE_CHECKING:

@@ -19,8 +19,8 @@ payload byte; their ids are kept in a separate decision set.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from ..regex import ast
 from ..regex.ast import ClassNode, Alt, Concat, Empty, Node, Pattern, Repeat

@@ -63,15 +63,15 @@ from __future__ import annotations
 
 import argparse
 
-from .. import config
-from .figures import fig3_rows, fig4_collect, fig4_rows, fig5_collect, fig5_rows
-from .harness import all_set_names, build_engine, write_table
-from .report import generate_all
-from .tables import fig2_rows, table5_rows
+# Every other import is local to the verb that needs it: ``bench.harness``
+# reads three knobs on import, so it may load only after ``main`` has
+# checked the configuration, and a spawned ``serve`` worker re-runs this
+# module as ``__mp_main__``, where it should import nothing it won't use.
 
 
 def _cmd_compile(set_name: str, shards: int = 1, jobs: int = 1, compress: int = 0) -> None:
     from ..core.explain import explain_lines
+    from .harness import build_engine
 
     for engine_name in ("nfa", "dfa", "hfa", "xfa", "mfa"):
         result = build_engine(set_name, engine_name)
@@ -157,6 +157,7 @@ def _cmd_rscan(
 ) -> int:
     from collections import Counter
 
+    from .. import config
     from ..robust import resilient_scan
     from ..traffic.pcap import PcapError
     from .harness import build_resilient
@@ -221,6 +222,7 @@ def _cmd_serve(
     import signal
     import threading
 
+    from .. import config
     from ..patterns import ruleset
     from ..serve import ControlServer, ScanDaemon, ServeConfig, serve_scan
     from .harness import STATE_BUDGET
@@ -320,6 +322,7 @@ def _cmd_scan(
 
     from ..traffic.flows import dispatch_flows
     from ..traffic.pcap import read_pcap
+    from .harness import build_engine
 
     if compress:
         # Round-trip through the serialized compressed artifact so the scan
@@ -412,6 +415,7 @@ def _cmd_lint(
     from pathlib import Path
 
     from ..analyze import analyze_bundle
+    from .harness import all_set_names
 
     if lint_all:
         targets = list(all_set_names())
@@ -503,7 +507,7 @@ def _cmd_rules(
 
     from ..analyze import analyze_ruleset
     from ..analyze.ruleset import contiguous_plan, plan_shards
-    from .harness import patterns_for
+    from .harness import all_set_names, patterns_for
 
     if rules_all:
         targets = list(all_set_names())
@@ -604,6 +608,7 @@ def _cmd_audit(
 
     from ..analyze import analyze_engine_adversary
     from ..core import loads_mfa
+    from .harness import all_set_names
 
     if audit_all:
         targets = list(all_set_names())
@@ -714,6 +719,8 @@ def _cmd_prove(
     """Prove rule sets pattern-by-pattern and/or bundle files whole."""
     import json
     from pathlib import Path
+
+    from .harness import all_set_names
 
     if prove_all:
         targets = list(all_set_names())
@@ -934,26 +941,41 @@ def main(argv: list[str] | None = None) -> int:
         "compiled from (bundles carry no original patterns)",
     )
     args = parser.parse_args(argv)
+    from .. import config
+
     try:
         config.check()
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    from .harness import all_set_names, write_table
 
     if args.command == "table5":
+        from .tables import table5_rows
+
         write_table("table5.txt", table5_rows())
     elif args.command == "fig2":
+        from .tables import fig2_rows
+
         write_table("fig2_memory.txt", fig2_rows())
     elif args.command == "fig3":
+        from .figures import fig3_rows
+
         write_table("fig3_construction.txt", fig3_rows())
     elif args.command == "fig4":
+        from .figures import fig4_collect, fig4_rows
+
         write_table("fig4_throughput.txt", fig4_rows(fig4_collect()))
     elif args.command == "fig5":
+        from .figures import fig5_collect, fig5_rows
+
         write_table("fig5_synthetic.txt", fig5_rows(fig5_collect()))
     elif args.command == "explosion":
         from .sweep import explosion_rows, explosion_sweep
 
         write_table("explosion_law.txt", explosion_rows(explosion_sweep()))
     elif args.command == "report":
+        from .report import generate_all
+
         generate_all()
     elif args.command == "lint":
         return _cmd_lint(args.set_name, args.all, args.json, args.fail_on)

@@ -1,49 +1,33 @@
-"""The paper's contribution: splitter, filter engine, and the MFA."""
+"""The paper's contribution: splitter, filter engine, and the MFA.
 
-from .bpmfa import BitParallelMFA, build_bp_mfa
-from .compiler import (
-    LintError,
-    ProofError,
-    compile_dfa,
-    compile_mfa,
-    compile_nfa,
-    compile_patterns,
+Names resolve on first use (see :mod:`repro._lazy`), so loading a
+serialized MFA does not import the compiler.
+"""
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bpmfa": ("BitParallelMFA", "build_bp_mfa"),
+        "explain": ("PatternReport", "explain", "explain_lines"),
+        "compiler": (
+            "LintError",
+            "ProofError",
+            "compile_dfa",
+            "compile_mfa",
+            "compile_nfa",
+            "compile_patterns",
+        ),
+        "filters": ("FilterAction", "FilterEngine", "FilterProgram", "FilterState"),
+        "mfa": ("MFA", "FlowContext", "build_mfa"),
+        "serialize": ("dumps_mfa", "load_mfa", "loads_mfa", "save_mfa"),
+        "splitter": ("SplitResult", "SplitStats", "SplitterOptions", "split_patterns"),
+        "verify": ("VerificationReport", "reference_matches", "verify_equivalence"),
+    },
 )
-from .explain import PatternReport, explain, explain_lines
-from .filters import FilterAction, FilterEngine, FilterProgram, FilterState
-from .mfa import MFA, FlowContext, build_mfa
-from .serialize import dumps_mfa, load_mfa, loads_mfa, save_mfa
-from .splitter import SplitResult, SplitStats, SplitterOptions, split_patterns
-from .verify import VerificationReport, reference_matches, verify_equivalence
 
-__all__ = [
-    "BitParallelMFA",
-    "build_bp_mfa",
-    "PatternReport",
-    "explain",
-    "explain_lines",
-    "LintError",
-    "ProofError",
-    "compile_dfa",
-    "compile_mfa",
-    "compile_nfa",
-    "compile_patterns",
-    "FilterAction",
-    "FilterEngine",
-    "FilterProgram",
-    "FilterState",
-    "MFA",
-    "FlowContext",
-    "build_mfa",
-    "dumps_mfa",
-    "load_mfa",
-    "loads_mfa",
-    "save_mfa",
-    "SplitResult",
-    "SplitStats",
-    "SplitterOptions",
-    "split_patterns",
-    "VerificationReport",
-    "reference_matches",
-    "verify_equivalence",
-]
+# ``explain`` names both a submodule and its function.  Importing the
+# submodule binds the module object over the package attribute, which a
+# lazy export could not win back, so the function is bound up front.
+from .explain import explain as explain  # noqa: E402

@@ -10,10 +10,12 @@ compile`` command and the examples).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..regex.printer import pattern_to_text
-from .filters import NONE
-from .mfa import MFA
+
+if TYPE_CHECKING:
+    from .mfa import MFA
 
 __all__ = ["PatternReport", "explain", "explain_lines"]
 

@@ -16,8 +16,7 @@ deterministically and correctly; see ``FilterProgram.action_priority``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..automata.dfa import DFA, DEFAULT_STATE_BUDGET, build_dfa
 from ..automata.nfa import MatchEvent
@@ -160,6 +159,11 @@ class MFA:
         matches = list(self.feed(context, data))
         matches.extend(self.finish(context))
         return matches
+
+    def run_batch(self, payloads: Sequence[bytes]) -> list[list[MatchEvent]]:
+        """:meth:`run` for each payload: the batch entry point that every
+        servable engine shares (lockstep in ``FastPathMFA``)."""
+        return [self.run(payload) for payload in payloads]
 
     def feed(self, context: FlowContext, data: bytes) -> Iterator[MatchEvent]:
         """Streaming interface: process one payload chunk of a flow.

@@ -21,7 +21,6 @@ exact for the full regex subset, not just literal strings.
 from __future__ import annotations
 
 from ..automata.nfa import NFA, build_nfa
-from ..regex import ast
 from ..regex.ast import Node, Pattern
 
 __all__ = ["segments_overlap", "useful_states"]

@@ -15,22 +15,17 @@ table-walk cost.  This package amortizes that dispatch two ways:
   repeated runs (CLI, benchmarks, CI) skip subset construction entirely.
 
 Everything degrades gracefully: without numpy the fastpath engine is a
-thin wrapper over the scalar MFA with identical semantics.
+thin wrapper over the scalar MFA with identical semantics.  Names
+resolve on first use, so the engine loads without the cache's compiler.
 """
 
-from .cache import ArtifactCache, cache_key, compile_mfa_cached, default_cache_dir
-from .engine import HAVE_NUMPY, FastPathMFA, build_fastpath
-from .prefilter import PrefilterRuntime, build_prefilter, plan_summary
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "FastPathMFA",
-    "HAVE_NUMPY",
-    "PrefilterRuntime",
-    "build_fastpath",
-    "build_prefilter",
-    "cache_key",
-    "compile_mfa_cached",
-    "default_cache_dir",
-    "plan_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("ArtifactCache", "cache_key", "compile_mfa_cached", "default_cache_dir"),
+        "engine": ("FastPathMFA", "HAVE_NUMPY", "build_fastpath"),
+        "prefilter": ("PrefilterRuntime", "build_prefilter", "plan_summary"),
+    },
+)

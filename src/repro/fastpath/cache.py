@@ -161,19 +161,21 @@ class ArtifactCache:
         compile input), so last-rename-wins is harmless.
         """
         path = self.path_for(key)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp_name = None
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as stream:
                 stream.write(dumps_mfa(mfa))
                 stream.flush()
                 os.fsync(stream.fileno())
             os.replace(tmp_name, path)
         except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            if tmp_name is not None:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
             return None
         return path
 

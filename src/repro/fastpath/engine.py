@@ -162,11 +162,11 @@ class FastPathMFA:
         n = dfa.n_states
         if n == 0:
             return
-        dense = _np.frombuffer(
-            b"".join(row.tobytes() for row in dfa.rows), dtype=_np.int32
-        ).reshape(n, 256)
         # Byte-class compression: keep one column per alphabet group and a
         # 256-entry byte -> group map applied to payloads once per batch.
+        # The dense (n, 256) table is a temporary: only its group columns
+        # are kept, and it is freed before the flat table is made.
+        dense = _np.array(dfa.rows, dtype=_np.int32)
         if dfa.group_of_byte is not None and dfa.n_groups and dfa.n_groups < 256:
             groups = _np.frombuffer(dfa.group_of_byte.tobytes(), dtype=_np.int32)
             ncols = int(groups.max()) + 1
@@ -176,6 +176,7 @@ class FastPathMFA:
             groups = _np.arange(256, dtype=_np.int32)
             ncols = 256
             grouped = dense
+        del dense
         # Three-tier renumbering: [no ops | mask-only ops | full ops].  With
         # every accepting state at the top of the id space, accept detection
         # over the whole history matrix is one comparison; the middle tier
@@ -192,9 +193,14 @@ class FastPathMFA:
         perm = _np.empty(n, dtype=_np.int64)
         perm[order] = _np.arange(n, dtype=_np.int64)
         # Premultiplied layout: stored ids are renumbered-state * ncols, so
-        # the lockstep step indexes the flat table with a single add.
+        # the lockstep step indexes the flat table with a single add.  Every
+        # id fits ``dtype``, so the gather yields the flat table directly.
         dtype = _np.int16 if n * ncols <= 0x7FFF else _np.int32
-        flat = (perm[grouped[order]] * ncols).astype(dtype).ravel()
+        perm_p = perm * ncols  # original -> premultiplied
+        ordered = grouped[order]
+        del grouped
+        flat = perm_p.astype(dtype)[ordered].ravel()
+        del ordered
         self._flat = _np.ascontiguousarray(flat)
         self._byte_map = groups.astype(dtype)
         self._ncols = ncols
@@ -203,7 +209,7 @@ class FastPathMFA:
         n_mask = int((tier == 1).sum())
         self._thr_any = n_plain * ncols  # premultiplied ids >= this accept
         self._thr_full = (n_plain + n_mask) * ncols  # >= this: non-idempotent ops
-        self._perm_p = (perm * ncols).tolist()  # original -> premultiplied
+        self._perm_p = perm_p.tolist()
         self._inv = order.tolist()  # renumbered -> original
         self._ops_by_rid = [ops_table[q] for q in self._inv]
         self._start_p = int(perm[dfa.start]) * ncols

@@ -21,7 +21,7 @@ Supported syntax (the subset used by Snort/Bro-style security rules):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import charclass as cc

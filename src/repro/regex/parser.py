@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import ast
 from .ast import Node, Pattern
-from .charclass import CharClass
 from .lexer import Lexer, LexerOptions, RegexSyntaxError, Token, TokenKind
 
 __all__ = ["parse", "parse_many", "ParserOptions", "RegexSyntaxError"]

@@ -8,7 +8,6 @@ a full 256-byte class prints as ``.``.
 
 from __future__ import annotations
 
-from . import ast
 from .ast import Alt, ClassNode, Concat, Empty, Node, Pattern, Repeat
 from .charclass import ALPHABET_SIZE, CharClass
 

@@ -7,28 +7,20 @@ worker death/hang is detected and restarted with backoff (the offending
 flow quarantined), and rules reload live — only changed shards
 recompile, and the artifact generation swaps without a torn read.
 Health is a :class:`ServeReport`, queryable over a control socket.
+
+Names resolve on first use, so a worker that imports
+:mod:`repro.serve.worker` loads neither the daemon nor the compiler.
 """
 
-from .control import ControlServer, control_request
-from .daemon import ScanDaemon, ServeConfig, serve_scan
-from .report import ReloadEvent, ServeReport, WorkerStats, canonical_stream
-from .shm import ArtifactSegment, pack_bundles, serialize_engine, unpack_bundles
-from .worker import FAULT_PREFIX, fault_payload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ScanDaemon",
-    "ServeConfig",
-    "serve_scan",
-    "ControlServer",
-    "control_request",
-    "ServeReport",
-    "WorkerStats",
-    "ReloadEvent",
-    "canonical_stream",
-    "ArtifactSegment",
-    "pack_bundles",
-    "unpack_bundles",
-    "serialize_engine",
-    "FAULT_PREFIX",
-    "fault_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "daemon": ("ScanDaemon", "ServeConfig", "serve_scan"),
+        "control": ("ControlServer", "control_request"),
+        "report": ("ServeReport", "WorkerStats", "ReloadEvent", "canonical_stream"),
+        "shm": ("ArtifactSegment", "pack_bundles", "unpack_bundles", "serialize_engine"),
+        "worker": ("FAULT_PREFIX", "fault_payload"),
+    },
+)

@@ -54,6 +54,7 @@ from ..traffic.flows import FiveTuple, Flow, FlowAssembler, FlowLimits, FlowMatc
 from ..traffic.pcap import read_pcap
 from .report import ReloadEvent, ServeReport, WorkerStats
 from .shm import ArtifactSegment, serialize_engine
+from .worker import worker_main
 
 __all__ = ["ServeConfig", "ScanDaemon", "serve_scan"]
 
@@ -101,7 +102,6 @@ class ServeConfig:
     ready_timeout: float = 60.0
     reload_timeout: float = 30.0
     faults: bool = False
-    start_method: str = "spawn"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -179,7 +179,10 @@ class ScanDaemon:
         self._prebuilt = engine
         self.report = ServeReport(n_workers=self.config.workers)
         self.alerts: list[FlowMatch] = []
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        # Spawn, never fork: the collector and supervisor threads run while
+        # workers (re)start.  A spawned worker unpickles its target,
+        # ``repro.serve.worker.worker_main``, and imports only the scan path.
+        self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._slots = [_Slot(i) for i in range(self.config.workers)]
@@ -260,7 +263,7 @@ class ScanDaemon:
         for batch in batches.values():
             slot.queue.put(("flows", batch))
         process = self._ctx.Process(
-            target=_worker_entry,
+            target=worker_main,
             args=(
                 slot.worker_id,
                 self._segment.name,
@@ -763,13 +766,6 @@ class ScanDaemon:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-def _worker_entry(*args) -> None:
-    """Picklable spawn target (kept tiny so spawn imports stay lean)."""
-    from .worker import worker_main
-
-    worker_main(*args)
 
 
 def serve_scan(

@@ -6,8 +6,8 @@ strict message protocol on two queues:
 
 inbound (work queue)
     ``("flows", [(flow_id, key, payload), ...])`` — scan one batch of
-    reassembled flows with a single ``engine.run_batch`` (per-flow
-    ``run`` for engines without one);
+    reassembled flows with a single ``engine.run_batch`` (every servable
+    engine has one: ``MFA``, ``FastPathMFA`` and ``ShardedMFA``);
     ``("reload", segment_name, generation)`` — attach the new segment and
     swap engines (batches queued *before* the marker drained on the old
     generation, which is what makes reload torn-artifact-free);
@@ -48,7 +48,6 @@ import queue as queue_module
 import signal
 import time
 
-from ..fastcompile.shards import scan_batch
 from .shm import ArtifactSegment
 
 __all__ = ["FAULT_PREFIX", "fault_payload", "worker_main"]
@@ -91,7 +90,7 @@ def _scan_isolated(engine, payloads: list[bytes], faults: bool) -> list:
                 _maybe_inject_fault(payload)
         return [
             [(event.pos, event.match_id) for event in events]
-            for events in scan_batch(engine, payloads)
+            for events in engine.run_batch(payloads)
         ]
     except Exception as exc:  # noqa: BLE001 - per-flow isolation
         if len(payloads) == 1:

@@ -2,17 +2,20 @@
 
 Covers round-trip match equality through store/load, key sensitivity to
 every compile input, corruption tolerance (a bad entry is a miss that is
-also removed), atomicity of stores, and the global kill switch.
+also removed), atomicity of stores, a store that cannot write (it
+returns None and the build stands), and the global kill switch.
 """
 
 import pytest
 
 from repro import config
-from repro.core import compile_mfa
+from repro.core import compile_mfa, compile_patterns
 from repro.core.splitter import SplitterOptions
+from repro.fastcompile import compile_shards
 from repro.fastpath import ArtifactCache, compile_mfa_cached
 from repro.fastpath.cache import cache_key, default_cache_dir
 from repro.regex.parser import ParserOptions
+from repro.robust import ResilientCompiler
 
 RULES = [".*alpha.*omega", ".*abc[^\\n]*xyz", "^HELO "]
 PAYLOAD = b"HELO alpha abc 12 xyz omega alpha\nomega"
@@ -40,6 +43,19 @@ class TestRoundTrip:
         assert cache.load(key).run(PAYLOAD) == mfa.run(PAYLOAD)
         # No stray tmp files left behind by the atomic write.
         assert list(path.parent.glob("*.tmp")) == []
+
+    def test_uncreatable_directory_fails_the_store_not_the_build(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache = ArtifactCache(blocker / "cache")
+        mfa = compile_mfa(RULES)
+        assert cache.store(cache_key(RULES), mfa) is None
+        built, hit = compile_mfa_cached(RULES, cache=cache)
+        assert not hit and built.run(PAYLOAD) == mfa.run(PAYLOAD)
+        (shard,) = compile_shards([compile_patterns(RULES)], cache=cache)
+        assert shard.ok and shard.engine.run(PAYLOAD) == mfa.run(PAYLOAD)
+        result = ResilientCompiler(cache=cache).compile(RULES)
+        assert result.ok and result.engine.run(PAYLOAD) == mfa.run(PAYLOAD)
 
 
 class TestKey:

@@ -7,7 +7,10 @@ malformed value of any of them fails early, naming the variable.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,20 @@ def test_cli_fails_before_compiling(monkeypatch, capsys):
         main(["rcompile", "C8"])
     assert exit_info.value.code != 0
     assert "REPRO_MAX_FLOWS='0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["REPRO_TRACE_SCALE", "REPRO_STATE_BUDGET", "REPRO_DFA_TIME_BUDGET"])
+def test_exhibit_knob_fails_before_the_harness_loads(name):
+    # bench.harness reads these three when it is imported, so only a fresh
+    # interpreter shows whether the CLI checked them first.
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.bench.cli", "lint", "C8"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent), name: MALFORMED[name]},
+        cwd=str(ROOT),
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert f"{name}={MALFORMED[name]!r}" in result.stderr
+    assert "Traceback" not in result.stderr
