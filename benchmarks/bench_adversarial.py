@@ -15,8 +15,7 @@ Exit-1 gates, all on the gated set (``--set``, default B217p):
 - every required witness class (prefilter-evasion) must be synthesized;
 - each required class's best measured slowdown must reach ``--factor``
   (0.5) of its statically predicted worst/clean ratio — the predictions
-  must not be fantasy (numpy runs only: without numpy there is no
-  prefiltered engine to replay through);
+  must not be fantasy;
 - zero match-stream diffs on any replayed witness, every set — a
   witness that changes what the engine reports is an AV106 error.
 """
@@ -51,7 +50,6 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.analyze import REQUIRED_WITNESS_KINDS, analyze_adversary
     from repro.bench.harness import STATE_BUDGET, patterns_for
-    from repro.fastpath import HAVE_NUMPY
 
     set_names = [args.set_name] if args.quick else [
         name for name in TRACKED_SETS if name == args.set_name
@@ -118,14 +116,12 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "measured_slowdown": round(measured, 3),
             "required_slowdown": round(required, 3) if required is not None else None,
-            "ok": witness is not None
-            and (not HAVE_NUMPY or measured >= required),
+            "ok": witness is not None and measured >= required,
         })
 
     doc = {
         "set": args.set_name,
         "quick": args.quick,
-        "have_numpy": HAVE_NUMPY,
         "replay_bytes": replay_bytes,
         "factor_required": args.factor,
         "sets": sets,

@@ -143,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         real_trace_flows,
     )
     from repro.core import compile_mfa
-    from repro.fastpath import HAVE_NUMPY, build_fastpath, plan_summary
+    from repro.fastpath import build_fastpath, plan_summary
 
     n_flows = 16 if args.quick else args.flows
     flow_bytes = 32768 if args.quick else args.flow_bytes
@@ -228,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "set": args.set_name,
         "quick": args.quick,
-        "have_numpy": HAVE_NUMPY,
         "flows": n_flows,
         "flow_bytes": flow_bytes,
         "compile_seconds": round(compile_seconds, 4),
@@ -248,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     if total_diffs:
         print("FAIL: prefiltered match stream diverged from scalar", file=sys.stderr)
         return 1
-    if HAVE_NUMPY and filtered.prefilter_active and clean_speedup < args.min_speedup:
+    if filtered.prefilter_active and clean_speedup < args.min_speedup:
         print(
             f"FAIL: clean-traffic speedup {clean_speedup:.1f}x is below the "
             f"required {args.min_speedup:.1f}x",

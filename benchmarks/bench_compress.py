@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.automata.compress import DEFAULT_CHAIN_DEPTH
     from repro.bench.harness import STATE_BUDGET, all_set_names, patterns_for
     from repro.core import compile_mfa, dumps_mfa, loads_mfa
-    from repro.fastpath import HAVE_NUMPY, build_fastpath
+    from repro.fastpath import build_fastpath
 
     depth = args.depth if args.depth is not None else DEFAULT_CHAIN_DEPTH
     n_flows = 16 if args.quick else args.flows
@@ -140,7 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "set": args.set_name,
         "quick": args.quick,
-        "have_numpy": HAVE_NUMPY,
         "chain_depth": depth,
         "n_states": mfa.dfa.n_states,
         "n_roots": forest.n_roots,
@@ -179,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         failed = True
-    if HAVE_NUMPY and retention < args.min_retention:
+    if retention < args.min_retention:
         print(
             f"FAIL: compressed-load throughput retention {retention:.2f} below "
             f"the {args.min_retention:.2f} gate",

@@ -21,8 +21,8 @@ from either capture that differ from the flows assembled directly from
 the written packets count as ingest diffs.
 
 Also exercises the compiled-artifact cache: the engine is obtained via
-``compile_mfa_cached`` and the hit/miss outcome plus load time land in
-the emitted ``BENCH_fastpath.json``.
+``compile_mfa(cache=...)`` and the hit/miss outcome plus load time land
+in the emitted ``BENCH_fastpath.json``.
 
 Run directly (CI does)::
 
@@ -224,11 +224,8 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro import config
     from repro.bench.harness import patterns_for, real_trace_flows
-    from repro.fastpath import (
-        FastPathMFA,
-        HAVE_NUMPY,
-        compile_mfa_cached,
-    )
+    from repro.core import compile_mfa
+    from repro.fastpath import FastPathMFA
     from repro.bench.harness import STATE_BUDGET
     from repro.traffic import replay
 
@@ -238,10 +235,11 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = config.artifact_cache()
     start = time.perf_counter()
-    mfa, cache_hit = compile_mfa_cached(
+    mfa = compile_mfa(
         list(patterns_for(args.set_name)), state_budget=STATE_BUDGET, cache=cache
     )
     compile_seconds = time.perf_counter() - start
+    cache_hit = cache is not None and cache.hits > 0
     engine = FastPathMFA(mfa, segment_bytes=args.segment)
 
     benign = build_benign_flows(n_flows, flow_bytes)
@@ -281,7 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "set": args.set_name,
         "quick": args.quick,
-        "have_numpy": HAVE_NUMPY,
         "flows": n_flows,
         "total_bytes": total,
         "segment_bytes": args.segment,
@@ -330,10 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     if ingest["flow_diffs"]:
         print("FAIL: decoded flows differ from the written packets' flows", file=sys.stderr)
         return 1
-    if HAVE_NUMPY and fast < scalar:
+    if fast < scalar:
         print("FAIL: fastpath slower than the scalar engine", file=sys.stderr)
         return 1
-    if HAVE_NUMPY and replay_fast < replay_scalar:
+    if replay_fast < replay_scalar:
         print("FAIL: batched replay slower than the scalar replay", file=sys.stderr)
         return 1
     return 0

@@ -55,7 +55,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ArtifactCache",
             "FastPathMFA",
             "build_fastpath",
-            "compile_mfa_cached",
         ),
         "regex": ("CharClass", "Pattern", "RegexSyntaxError", "parse", "parse_many"),
         "robust": (

@@ -65,15 +65,12 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+import numpy as _np
+
 from .report import ERROR, INFO, WARNING, AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.mfa import MFA
-
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy-less fallback
-    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "REQUIRED_WITNESS_KINDS",
@@ -295,64 +292,36 @@ def _plan_of(mfa: "MFA") -> "dict[str, Any] | None":
 # -- witness synthesis --------------------------------------------------------
 
 
-def _greedy_policy(
-    rows: list[array], cost: Callable[[int, int], float], states: set[int]
-) -> dict[int, int]:
-    """Numpy-less fallback: per-state argmax of the immediate cost."""
-    choice: dict[int, int] = {}
-    for q in states:
-        best_b, best_c = 0, -1.0
-        row_cost = cost
-        for b in range(256):
-            c = row_cost(q, b)
-            if c > best_c:
-                best_b, best_c = b, c
-        choice[q] = best_b
-    return choice
-
-
 def _synthesize(
     rows: list[array],
     cost: Callable[[int, int], float],
-    cost_matrix: "Any | None",
+    cost_matrix: Any,
     start: int,
     length: int,
 ) -> tuple[bytes, float]:
     """Max-cost trace of ``length`` bytes from ``start``.
 
-    With numpy: finite-horizon value iteration over the full table, then
-    a stationary greedy policy walk (ties break to the lowest byte, so
-    the trace is independent of hash seeds and numpy versions).  Without
-    numpy: an immediate-cost greedy walk over only the states actually
-    visited.  Either way the returned cost is summed along the *actual*
-    trace, so the prediction matches the witness by construction.
+    Finite-horizon value iteration over the full table, then a
+    stationary greedy policy walk (ties break to the lowest byte, so the
+    trace is independent of hash seeds and numpy versions).  The
+    returned cost is summed along the *actual* trace, so the prediction
+    matches the witness by construction.
     """
     n = len(rows)
-    choice: "Any"
-    if _np is not None and cost_matrix is not None:
-        nxt = _np.frombuffer(
-            b"".join(row.tobytes() for row in rows), dtype=_np.int32
-        ).reshape(n, 256).astype(_np.int64)
-        cm = _np.asarray(cost_matrix, dtype=_np.float64)
-        value = _np.zeros(n, dtype=_np.float64)
-        for _ in range(_VI_SWEEPS):
-            value = (cm + value[nxt]).max(axis=1)
-            value -= value.min()  # keep magnitudes bounded; argmax unchanged
-        choice = (cm + value[nxt]).argmax(axis=1).tolist()
-    else:
-        choice = None
+    nxt = _np.frombuffer(
+        b"".join(row.tobytes() for row in rows), dtype=_np.int32
+    ).reshape(n, 256).astype(_np.int64)
+    cm = _np.asarray(cost_matrix, dtype=_np.float64)
+    value = _np.zeros(n, dtype=_np.float64)
+    for _ in range(_VI_SWEEPS):
+        value = (cm + value[nxt]).max(axis=1)
+        value -= value.min()  # keep magnitudes bounded; argmax unchanged
+    choice = (cm + value[nxt]).argmax(axis=1).tolist()
     payload = bytearray()
     total = 0.0
     q = start
-    lazy: dict[int, int] = {}
     for _ in range(length):
-        if choice is not None:
-            b = choice[q]
-        else:
-            b = lazy.get(q, -1)
-            if b < 0:
-                lazy.update(_greedy_policy(rows, cost, {q}))
-                b = lazy[q]
+        b = choice[q]
         payload.append(b)
         total += cost(q, b)
         q = rows[q][b]
@@ -513,12 +482,10 @@ def _churn_witness(
     def cost(q: int, b: int) -> float:
         return float(churn[rows[q][b]])
 
-    matrix: "Any | None" = None
-    if _np is not None:
-        nxt = _np.frombuffer(
-            b"".join(row.tobytes() for row in rows), dtype=_np.int32
-        ).reshape(len(rows), 256).astype(_np.int64)
-        matrix = _np.asarray(churn, dtype=_np.float64)[nxt]
+    nxt = _np.frombuffer(
+        b"".join(row.tobytes() for row in rows), dtype=_np.int32
+    ).reshape(len(rows), 256).astype(_np.int64)
+    matrix = _np.asarray(churn, dtype=_np.float64)[nxt]
     payload, witness_churn = _synthesize(rows, cost, matrix, start, trace_bytes)
     clean_churn = _trace_cost(rows, cost, start, clean)
     ranked = sorted(range(len(churn)), key=lambda q: (-churn[q], q))[:3]
@@ -577,7 +544,7 @@ def replay_witness(
     scalar reference (which must agree — the engines are proven
     equivalent, and an adversarial divergence is an ``AV106`` error).
     """
-    from ..fastpath import HAVE_NUMPY, build_fastpath
+    from ..fastpath import build_fastpath
 
     w_payload = _tile(witness.payload, replay_bytes)
     c_payload = clean if clean is not None else clean_payload(replay_bytes)
@@ -587,7 +554,7 @@ def replay_witness(
     events = len(reference)
 
     runners: list[tuple[str, Callable[[bytes], list[Any]]]] = [("scalar", mfa.run)]
-    if HAVE_NUMPY and witness.kind == "prefilter-evasion":
+    if witness.kind == "prefilter-evasion":
         # Replay against the same plan the analysis audited — injecting
         # the audit-mode plan when the artifact ships without one (the
         # witness's zero-diff check below still holds the engine to the
@@ -603,7 +570,7 @@ def replay_witness(
             runners.append(
                 ("fastpath-prefilter", lambda data, e=engine: e.run_batch([data])[0])
             )
-    elif HAVE_NUMPY:
+    else:
         engine = build_fastpath(mfa, prefilter="off")
         runners.append(("fastpath", lambda data, e=engine: e.run_batch([data])[0]))
 

@@ -486,7 +486,7 @@ def plan_shards(
     *,
     splitter_options: Optional[SplitterOptions] = None,
 ) -> ShardPlan:
-    """Interaction-aware shard assignment for ``compile_mfa_sharded``.
+    """Interaction-aware shard assignment for ``compile_mfa(shard_plan="interaction")``.
 
     Contiguous partitioning is cache-friendly but oblivious: rule sets
     grow by appending, so correlated explosive rules land in the same

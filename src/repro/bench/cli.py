@@ -320,8 +320,9 @@ def _cmd_scan(
 ) -> int:
     from collections import Counter
 
-    from ..traffic.flows import dispatch_flows
-    from ..traffic.pcap import read_pcap
+    from .. import config
+    from ..robust import resilient_scan
+    from ..traffic.pcap import PcapError
     from .harness import build_engine
 
     if compress:
@@ -333,13 +334,9 @@ def _cmd_scan(
     if not built.ok:
         print(f"cannot compile {set_name}: {built.error}")
         return 1
-    with open(pcap_path, "rb") as stream:
-        packets = list(read_pcap(stream))
-    print(f"{len(packets)} packets decoded from {pcap_path}")
+    engine = built.engine
+    batch_size = None
     if engine_choice == "fastpath":
-        from ..traffic.flows import FlowAssembler, FlowMatch
-
-        engine = built.engine
         if prefilter != getattr(engine, "prefilter_mode", prefilter):
             # build_engine caches one wrapper per set; re-wrap the shared
             # MFA under the requested mode (tables rebuild, artifact doesn't).
@@ -348,18 +345,15 @@ def _cmd_scan(
             engine = build_fastpath(engine.mfa, prefilter=prefilter)
         state = "active" if getattr(engine, "prefilter_active", False) else "inactive"
         print(f"prefilter: {prefilter} ({state})")
-        assembler = FlowAssembler()
-        assembler.add_all(packets)
-        flows = [flow for flow in assembler.flows() if flow.payload]
-        alerts = []
-        step = getattr(engine, "batch_hint", 64)
-        for start in range(0, len(flows), step):
-            chunk = flows[start : start + step]
-            batch_events = engine.run_batch([flow.payload for flow in chunk])
-            for flow, events in zip(chunk, batch_events):
-                alerts.extend(FlowMatch(flow.key, event) for event in events)
-    else:
-        alerts = list(dispatch_flows(built.engine, packets))
+        batch_size = engine.batch_hint
+    try:
+        alerts, report = resilient_scan(
+            engine, pcap_path, limits=config.scan_limits(), batch_size=batch_size
+        )
+    except (OSError, PcapError) as exc:
+        print(f"cannot scan {pcap_path}: {exc}")
+        return 1
+    print(f"{report.n_packets} packets decoded from {pcap_path}")
     by_rule = Counter(alert.event.match_id for alert in alerts)
     print(f"{len(alerts)} alerts across {len({a.key for a in alerts})} flows")
     for match_id, count in by_rule.most_common(10):
@@ -861,7 +855,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=("mfa", "fastpath"),
         default="mfa",
         help="scan engine for 'scan'/'rscan': scalar MFA or the lockstep "
-        "batch fastpath (numpy; falls back to scalar without it)",
+        "batch fastpath; both scan reassembled flows in tolerant mode",
     )
     parser.add_argument(
         "--prefilter",
@@ -1037,6 +1031,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.set_name not in all_set_names():
             parser.error(f"unknown set {args.set_name!r}; have {all_set_names()}")
         if args.command == "compile":
+            if args.shards < 1 or args.jobs < 1:
+                parser.error("compile needs --shards and --jobs of at least 1")
             _cmd_compile(
                 args.set_name, shards=args.shards, jobs=args.jobs,
                 compress=args.compress,

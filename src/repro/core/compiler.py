@@ -13,13 +13,16 @@ interface so the benchmark harness can treat them uniformly.
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Sequence
 
 from ..automata.dfa import DFA, DEFAULT_STATE_BUDGET, build_dfa
 from ..automata.nfa import NFA, build_nfa
+from ..fastcompile.shards import compile_shards, partition_patterns
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions, parse
-from .mfa import MFA, build_mfa
+from .mfa import MFA
+from .sharded import ShardedMFA
 from .splitter import SplitterOptions
 
 if TYPE_CHECKING:
@@ -33,6 +36,9 @@ __all__ = [
     "LintError",
     "ProofError",
 ]
+
+# How compile_mfa partitions a rule set across shards.
+SHARD_PLANS = ("contiguous", "interaction")
 
 
 class _EscortError(ValueError):
@@ -105,21 +111,28 @@ def compile_mfa(
 ) -> MFA:
     """Parse, split and compile a rule set into a match-filtering automaton.
 
-    ``shards``/``jobs`` route the build through the sharded parallel
-    compiler (:mod:`repro.fastcompile`): the rule set is partitioned into
-    ``shards`` contiguous chunks compiled across ``jobs`` worker
-    processes, and the result is a :class:`~repro.fastcompile.ShardedMFA`
-    whose confirmed-match stream is the single-shot stream in canonical
-    ``(pos, match_id)`` order.  ``shard_plan="interaction"`` replaces the
-    contiguous partition with the interaction-aware assignment from
+    Every compile goes through :func:`repro.fastcompile.compile_shards`.
+    ``shards``/``jobs`` partition the rule set into ``shards`` chunks
+    compiled across ``jobs`` worker processes, and the result is a
+    :class:`~repro.core.sharded.ShardedMFA` whose confirmed-match stream is
+    the single-shot stream in canonical ``(pos, match_id)`` order; one
+    shard (or fewer than two patterns) gives a plain :class:`MFA`.  The
+    default ``shard_plan="contiguous"`` keeps the chunks contiguous, which
+    makes the per-shard cache keys incremental-friendly;
+    ``"interaction"`` uses the assignment from
     :func:`repro.analyze.ruleset.plan_shards`, which spreads rules with
     surviving separator factors across shards instead of letting
-    co-authored explosive rules multiply one shard's state space;
-    contiguous stays the default because its per-shard cache keys are
-    incremental-friendly.  Match-ids are global under either plan, so the
-    merged stream is identical.  ``cache`` (a
-    :class:`repro.fastpath.ArtifactCache`) keys each shard separately so
-    one-rule edits rebuild one shard.  ``phases`` is an out-dict
+    co-authored explosive rules multiply one shard's state space.
+    Match-ids are global under either plan, so the merged stream is
+    identical.  A shard failure raises that shard's own exception; use
+    :class:`repro.robust.ResilientCompiler` for per-shard degradation.
+    A bad ``shards``, ``jobs`` or ``shard_plan`` raises ``ValueError``
+    before anything parses.
+
+    ``cache`` (a :class:`repro.fastpath.ArtifactCache`) keys each shard
+    over its parsed patterns and the compile options, so a second compile
+    loads instead of building (``cache.hits`` counts the loads) and a
+    one-rule edit rebuilds one shard.  ``phases`` is an out-dict
     accumulating per-phase wall time (``parse``/``split``/``determinize``/
     ``filter-gen``/``prefilter``).
 
@@ -147,59 +160,50 @@ def compile_mfa(
     forest so the artifact serialises in the compressed tier (see
     :func:`repro.core.mfa.build_mfa`); 0 keeps it dense.
     """
+    for name, value in (("shards", shards), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if shard_plan not in SHARD_PLANS:
+        raise ValueError(f"unknown shard_plan {shard_plan!r}; known: {', '.join(SHARD_PLANS)}")
+    tick = time.perf_counter()
+    patterns = compile_patterns(rules, parser_options)
+    if phases is not None:
+        phases["parse"] = phases.get("parse", 0.0) + (time.perf_counter() - tick)
+    if shards == 1 or len(patterns) < 2:
+        groups = [patterns]
+    elif shard_plan == "contiguous":
+        groups = partition_patterns(patterns, shards)
+    else:
+        # Lazy import: the planner loads the whole analyzer package.
+        from ..analyze.ruleset import plan_shards
+
+        plan = plan_shards(patterns, shards, splitter_options=splitter_options)
+        groups = [[patterns[i] for i in chunk] for chunk in plan.assignments]
+    builds = compile_shards(
+        groups,
+        splitter_options,
+        parser_options,
+        state_budget,
+        time_budget,
+        jobs=jobs,
+        cache=cache,
+        phases=phases,
+        compress=compress,
+    )
+    for build in builds:
+        if build.error is not None:
+            raise build.error
+    engines = [build.engine for build in builds]
+    engine = engines[0] if len(engines) == 1 else ShardedMFA(engines)
     if lint or prove:
-        engine = compile_mfa(
-            rules,
-            splitter_options,
-            parser_options,
-            state_budget,
-            shards=shards,
-            jobs=jobs,
-            time_budget=time_budget,
-            cache=cache,
-            phases=phases,
-            compress=compress,
-            shard_plan=shard_plan,
-        )
         from ..analyze.escorts import run_escort
 
-        patterns = compile_patterns(rules, parser_options)
         for name, wanted, error in (("audit", lint, LintError), ("prove", prove, ProofError)):
             if wanted:
                 report = run_escort(name, engine, patterns, splitter_options)
                 if report.has_errors:
                     raise error(report)
-        return engine
-    if shards > 1 or cache is not None:
-        from ..fastcompile.shards import compile_mfa_sharded
-
-        return compile_mfa_sharded(  # type: ignore[return-value]
-            rules,
-            splitter_options,
-            parser_options,
-            state_budget=state_budget,
-            time_budget=time_budget,
-            shards=shards,
-            jobs=jobs,
-            cache=cache,
-            phases=phases,
-            compress=compress,
-            shard_plan=shard_plan,
-        )
-    import time as _time
-
-    tick = _time.perf_counter()
-    patterns = compile_patterns(rules, parser_options)
-    if phases is not None:
-        phases["parse"] = phases.get("parse", 0.0) + (_time.perf_counter() - tick)
-    return build_mfa(
-        patterns,
-        splitter_options,
-        state_budget=state_budget,
-        time_budget=time_budget,
-        phases=phases,
-        compress=compress,
-    )
+    return engine  # type: ignore[return-value]
 
 
 def compile_dfa(

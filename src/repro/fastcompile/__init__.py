@@ -11,30 +11,25 @@ for the scan side, without changing any observable compile semantics:
   template, and the subset resolves only the alphabet groups its
   transient members move on;
 * :mod:`repro.fastcompile.shards` — rule-set partitioning, process-pool
-  shard compiles, per-shard artifact caching, and the
-  :class:`ShardedMFA` recombination layer.
+  shard compiles and per-shard artifact caching in
+  :func:`compile_shards`, the one MFA build path.
 
-Entry points: ``repro.compile_mfa(rules, shards=, jobs=)`` for plain use,
+The recombination layer, :class:`ShardedMFA`, is defined on the scan side
+(:mod:`repro.core.sharded`) and re-exported here.  Entry points:
+``repro.compile_mfa(rules, shards=, jobs=, cache=)`` for plain use,
 :class:`repro.robust.ResilientCompiler` (``shards=``/``jobs=``) for
 per-shard degradation, ``mfa-bench compile SET --shards N --jobs N`` from
 the CLI, and ``benchmarks/bench_construction.py`` for the numbers.
 """
 
+from ..core.sharded import ShardedContext, ShardedMFA
 from .bitset import subset_construct
-from .shards import (
-    ShardBuild,
-    ShardedContext,
-    ShardedMFA,
-    compile_mfa_sharded,
-    compile_shards,
-    partition_patterns,
-)
+from .shards import ShardBuild, compile_shards, partition_patterns
 
 __all__ = [
     "ShardBuild",
     "ShardedContext",
     "ShardedMFA",
-    "compile_mfa_sharded",
     "compile_shards",
     "partition_patterns",
     "subset_construct",

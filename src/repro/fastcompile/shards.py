@@ -18,46 +18,37 @@ applied at the compile pipeline level, where it buys three things:
   :class:`repro.fastpath.ArtifactCache`, so editing one rule re-builds
   only the shard containing it.
 
-:class:`ShardedMFA` is the recombination layer: per-shard engines run side
-by side and their confirmed streams merge into the canonical
-``(pos, match_id)`` order (the order :class:`~repro.automata.mdfa.MDFA`
-uses).  Because match-ids are assigned globally *before* partitioning,
-alerts map back to the operator's rule list exactly as in a single-shot
-compile.
+:func:`compile_shards` is the one MFA build path: :func:`repro.core.compile_mfa`
+(plain, cached or sharded), the resilient compiler's MFA attempts and the
+scan daemon all build through it, and it is the only code that keys,
+loads and stores the artifact cache.  The recombination layer,
+:class:`~repro.core.sharded.ShardedMFA`, lives on the scan side.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..automata.dfa import DEFAULT_STATE_BUDGET
-from ..automata.nfa import MatchEvent
-from ..core.compiler import compile_patterns
-from ..core.mfa import MFA, build_mfa
+from ..core.mfa import build_mfa
 from ..core.splitter import SplitterOptions
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions
 
-__all__ = [
-    "ShardBuild",
-    "ShardedMFA",
-    "ShardedContext",
-    "partition_patterns",
-    "compile_shards",
-    "compile_mfa_sharded",
-    "scan_batch",
-]
+__all__ = ["ShardBuild", "partition_patterns", "compile_shards"]
 
 
 @dataclass(frozen=True, slots=True)
 class ShardBuild:
     """Outcome of one shard compile: the engine or the error, plus whether
-    it came from the artifact cache and how long the build itself took."""
+    it came from the artifact cache and how long the build itself took.
 
-    engine: MFA | None
+    :func:`compile_shards` only builds MFAs; the resilient compiler
+    records its fallback-engine builds in the same shape."""
+
+    engine: object | None
     error: Exception | None
     cached: bool
     seconds: float
@@ -90,100 +81,6 @@ def partition_patterns(
         out.append(list(patterns[start : start + size]))
         start += size
     return out
-
-
-def scan_batch(engine: object, payloads: Sequence[bytes]) -> list[list[MatchEvent]]:
-    """Each payload's events from one engine: a single lockstep
-    ``run_batch`` where the engine has one, per-flow ``run`` otherwise."""
-    run_batch = getattr(engine, "run_batch", None)
-    if run_batch is not None:
-        return run_batch(payloads)
-    return [engine.run(payload) for payload in payloads]  # type: ignore[attr-defined]
-
-
-class ShardedContext:
-    """Per-flow state of a sharded engine: one sub-context per shard."""
-
-    __slots__ = ("contexts", "offset")
-
-    def __init__(self, sharded: "ShardedMFA"):
-        self.contexts = [shard.new_context() for shard in sharded.shards]
-        self.offset = 0
-
-
-class ShardedMFA:
-    """Per-shard engines recombined into one multiplexed matcher.
-
-    Shards are usually :class:`~repro.core.mfa.MFA` instances, but any
-    engine with the ``run``/``new_context``/``feed``/``finish`` interface
-    slots in — the resilient compiler exploits that to degrade a single
-    exploding shard to a weaker engine while the rest stay MFAs.
-
-    Confirmed matches are reported in the canonical ``(pos, match_id)``
-    order within each fed chunk (chunk boundaries align across shards, so
-    the global stream is ordered too).
-    """
-
-    def __init__(self, shards: Sequence[object]):
-        if not shards:
-            raise ValueError("ShardedMFA needs at least one shard")
-        self.shards = list(shards)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def n_states(self) -> int:
-        return sum(shard.n_states for shard in self.shards)  # type: ignore[attr-defined]
-
-    def memory_bytes(self) -> int:
-        return sum(shard.memory_bytes() for shard in self.shards)  # type: ignore[attr-defined]
-
-    # -- matching ------------------------------------------------------------
-
-    def run(self, data: bytes) -> list[MatchEvent]:
-        """Every confirmed match, merged across shards and sorted into the
-        canonical ``(pos, match_id)`` order."""
-        out: list[MatchEvent] = []
-        for shard in self.shards:
-            out.extend(shard.run(data))  # type: ignore[attr-defined]
-        out.sort()
-        return out
-
-    def run_batch(self, payloads: Sequence[bytes]) -> list[list[MatchEvent]]:
-        """:meth:`run` for N payloads, each shard scanning all of them in
-        one :func:`scan_batch` call (lockstep for fastpath shards)."""
-        out: list[list[MatchEvent]] = [[] for _ in payloads]
-        for shard in self.shards:
-            for events, found in zip(out, scan_batch(shard, payloads)):
-                events.extend(found)
-        for events in out:
-            events.sort()
-        return out
-
-    def matches(self, data: bytes) -> bool:
-        return any(shard.run(data) for shard in self.shards)  # type: ignore[attr-defined]
-
-    # -- streaming (same trio as the MFA, for dispatch/replay drivers) ------
-
-    def new_context(self) -> ShardedContext:
-        return ShardedContext(self)
-
-    def feed(self, context: ShardedContext, data: bytes) -> Iterator[MatchEvent]:
-        events: list[MatchEvent] = []
-        for shard, sub in zip(self.shards, context.contexts):
-            events.extend(shard.feed(sub, data))  # type: ignore[attr-defined]
-        context.offset += len(data)
-        events.sort()
-        yield from events
-
-    def finish(self, context: ShardedContext) -> Iterator[MatchEvent]:
-        events: list[MatchEvent] = []
-        for shard, sub in zip(self.shards, context.contexts):
-            events.extend(shard.finish(sub))  # type: ignore[attr-defined]
-        events.sort()
-        yield from events
 
 
 def _compile_shard_worker(
@@ -236,11 +133,12 @@ def compile_shards(
     or the exception that shard raised (so callers — the resilient
     compiler — can degrade a single shard without losing the others).
     With a ``cache`` (:class:`repro.fastpath.ArtifactCache`), each shard
-    is looked up and stored under its own content key, which is what
-    makes one-rule edits rebuild one shard.
+    is looked up and stored under its own key over its parsed patterns
+    and every compile option, which is what makes one-rule edits rebuild
+    one shard; ``cache.hits`` counts the shards that were loaded.
     """
-    from ..core.serialize import loads_mfa
-    from ..fastpath.cache import cache_key
+    if cache is not None:
+        from ..fastpath.cache import cache_key
 
     results: list[ShardBuild | None] = [None] * len(shard_patterns)
     keys: list[str | None] = [None] * len(shard_patterns)
@@ -280,6 +178,10 @@ def compile_shards(
 
     workers = min(jobs, len(to_build))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        from ..core.serialize import loads_mfa
+
         payloads = [
             (list(shard_patterns[index]), splitter_options, state_budget, time_budget, compress)
             for index in to_build
@@ -321,82 +223,3 @@ def compile_shards(
             if built is not None and built.engine is not None and keys[index] is not None:
                 cache.store(keys[index], built.engine)
     return results  # type: ignore[return-value]
-
-
-def compile_mfa_sharded(
-    rules: Sequence[str | Pattern],
-    splitter_options: SplitterOptions | None = None,
-    parser_options: ParserOptions | None = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    time_budget: float | None = None,
-    shards: int = 2,
-    jobs: int = 1,
-    cache=None,
-    phases: dict[str, float] | None = None,
-    compress: int = 0,
-    shard_plan: str = "contiguous",
-) -> ShardedMFA | MFA:
-    """Parse, partition and compile a rule set as parallel shards.
-
-    Match-ids are assigned globally (1-based input position) before
-    partitioning, so the recombined engine reports exactly the ids a
-    single-shot :func:`repro.core.compile_mfa` would — under *any*
-    partition, which is what makes ``shard_plan`` safe.  ``"contiguous"``
-    (the default) keeps the incremental-cache-friendly chunks of
-    :func:`partition_patterns`; ``"interaction"`` asks
-    :func:`repro.analyze.ruleset.plan_shards` for an assignment that
-    spreads explosive rules across shards instead of letting appended
-    neighbors multiply one shard's subset construction.  ``shards <= 1``
-    degenerates to the single-shot compile and returns a plain
-    :class:`MFA`.  A shard failure propagates — use
-    :class:`repro.robust.ResilientCompiler` (``shards=``) for per-shard
-    degradation instead.
-    """
-    import time as _time
-
-    tick = _time.perf_counter()
-    patterns = compile_patterns(rules, parser_options)
-    if phases is not None:
-        phases["parse"] = phases.get("parse", 0.0) + (_time.perf_counter() - tick)
-    if shards <= 1 or len(patterns) <= 1:
-        built = compile_shards(
-            [patterns],
-            splitter_options,
-            parser_options,
-            state_budget,
-            time_budget,
-            jobs=1,
-            cache=cache,
-            phases=phases,
-            compress=compress,
-        )[0]
-        if built.error is not None:
-            raise built.error
-        return built.engine
-    if shard_plan == "contiguous":
-        shard_patterns = partition_patterns(patterns, shards)
-    elif shard_plan == "interaction":
-        # Lazy import: repro.analyze imports this package at module load.
-        from ..analyze.ruleset import plan_shards
-
-        plan = plan_shards(patterns, shards, splitter_options=splitter_options)
-        shard_patterns = [
-            [patterns[i] for i in chunk] for chunk in plan.assignments
-        ]
-    else:
-        raise ValueError(f"unknown shard_plan {shard_plan!r}")
-    results = compile_shards(
-        shard_patterns,
-        splitter_options,
-        parser_options,
-        state_budget,
-        time_budget,
-        jobs=jobs,
-        cache=cache,
-        phases=phases,
-        compress=compress,
-    )
-    for built in results:
-        if built.error is not None:
-            raise built.error
-    return ShardedMFA([built.engine for built in results])

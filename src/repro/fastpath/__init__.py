@@ -10,13 +10,12 @@ table-walk cost.  This package amortizes that dispatch two ways:
   (data-parallel FSM execution in the style of Mytkowicz et al.,
   ASPLOS 2014), falling back to the scalar filter engine only at the
   sparse positions where the accept bitmap fires;
-* :class:`ArtifactCache` / :func:`compile_mfa_cached` — an on-disk cache
-  of serialized MFA bundles keyed by the ruleset + options hash, so
-  repeated runs (CLI, benchmarks, CI) skip subset construction entirely.
+* :class:`ArtifactCache` — an on-disk cache of serialized MFA bundles
+  keyed by a hash of the parsed patterns and compile options, so repeated
+  runs (CLI, benchmarks, CI) skip subset construction entirely; pass it
+  as ``compile_mfa(rules, cache=...)``.
 
-Everything degrades gracefully: without numpy the fastpath engine is a
-thin wrapper over the scalar MFA with identical semantics.  Names
-resolve on first use, so the engine loads without the cache's compiler.
+Names resolve on first use, so the engine loads without the cache.
 """
 
 from .._lazy import lazy_exports
@@ -24,8 +23,8 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "cache": ("ArtifactCache", "cache_key", "compile_mfa_cached", "default_cache_dir"),
-        "engine": ("FastPathMFA", "HAVE_NUMPY", "build_fastpath"),
+        "cache": ("ArtifactCache", "cache_key", "default_cache_dir"),
+        "engine": ("FastPathMFA", "build_fastpath"),
         "prefilter": ("PrefilterRuntime", "build_prefilter", "plan_summary"),
     },
 )

@@ -3,13 +3,17 @@
 Rule compilation is the dominant cost of every CLI run and benchmark
 session — subset construction over a real rule set takes orders of
 magnitude longer than loading its serialized table.  A compiled engine is
-a pure function of (rules, parser options, splitter options, state
-budget), so the cache key is a SHA-256 over exactly those inputs plus a
-format version; any change to rules or options misses cleanly and a
-corrupt or truncated entry is treated as a miss (and removed), never an
-error.  Bundles are the versioned format from
+a pure function of (parsed patterns, parser options, splitter options,
+state budget, compression depth), so the cache key is a SHA-256 over
+exactly those inputs plus a format version; any change to rules or
+options misses cleanly and a corrupt or truncated entry is treated as a
+miss (and removed), never an error.  Bundles are the versioned format from
 :mod:`repro.core.serialize`, written atomically (tmp file + rename) so a
 crashed writer cannot poison later runs.
+
+Only :func:`repro.fastcompile.compile_shards` keys, loads and stores
+entries; ``compile_mfa(rules, cache=c)`` is the cached compile, and
+``c.hits`` counts the shards it loaded.
 
 The cache directory is an explicit ``directory`` argument, else
 ``~/.cache/repro-mfa`` (``$XDG_CACHE_HOME`` honoured).  The entry points
@@ -35,12 +39,7 @@ from ..core.splitter import SplitterOptions
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions
 
-__all__ = [
-    "ArtifactCache",
-    "cache_key",
-    "compile_mfa_cached",
-    "default_cache_dir",
-]
+__all__ = ["ArtifactCache", "cache_key", "default_cache_dir"]
 
 # Bump whenever the serialized bundle format or compile semantics change in
 # a way old entries must not survive.  2: bundles may carry a prefilter
@@ -54,18 +53,16 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "repro-mfa"
 
 
-def _rule_token(rule: str | Pattern) -> str:
-    if isinstance(rule, Pattern):
-        # Source text plus identity/anchoring — everything that affects the
-        # compiled automaton.  Patterns built programmatically without
-        # source text are not cacheable by content; repr their AST.
-        body = rule.source or repr(rule.root)
-        return f"p:{rule.match_id}:{int(rule.anchored)}{int(rule.end_anchored)}:{body}"
-    return f"s:{rule}"
+def _rule_token(pattern: Pattern) -> str:
+    # Source text plus identity/anchoring — everything that affects the
+    # compiled automaton.  Patterns built programmatically without source
+    # text are not cacheable by content; repr their AST.
+    body = pattern.source or repr(pattern.root)
+    return f"p:{pattern.match_id}:{int(pattern.anchored)}{int(pattern.end_anchored)}:{body}"
 
 
 def cache_key(
-    rules: Sequence[str | Pattern],
+    patterns: Sequence[Pattern],
     splitter_options: SplitterOptions | None = None,
     parser_options: ParserOptions | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
@@ -73,13 +70,14 @@ def cache_key(
 ) -> str:
     """Deterministic key over every input that shapes the compiled MFA.
 
-    ``compress`` (a chain-depth bound, 0 = dense) is keyed because it
-    selects the DFA section's encoding tier, even though it never changes
-    match semantics.
+    The key is over *parsed* patterns, so rule text and the patterns it
+    parses to share one entry.  ``compress`` (a chain-depth bound, 0 =
+    dense) is keyed because it selects the DFA section's encoding tier,
+    even though it never changes match semantics.
     """
     doc = {
         "format": CACHE_FORMAT,
-        "rules": [_rule_token(rule) for rule in rules],
+        "rules": [_rule_token(pattern) for pattern in patterns],
         "splitter": asdict(splitter_options or SplitterOptions()),
         "parser": asdict(parser_options or ParserOptions()),
         "state_budget": state_budget,
@@ -178,41 +176,3 @@ class ArtifactCache:
                     pass
             return None
         return path
-
-
-def compile_mfa_cached(
-    rules: Sequence[str | Pattern],
-    splitter_options: SplitterOptions | None = None,
-    parser_options: ParserOptions | None = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    cache: ArtifactCache | None = None,
-    compress: int = 0,
-) -> tuple[MFA, bool]:
-    """Compile a rule set, consulting the artifact cache first.
-
-    Returns ``(mfa, hit)`` where ``hit`` says the engine was loaded rather
-    than built.  A fresh build is stored for the next caller; without a
-    ``cache`` every call builds.
-    """
-    from ..core.compiler import compile_mfa
-
-    key = cache_key(
-        rules,
-        splitter_options=splitter_options,
-        parser_options=parser_options,
-        state_budget=state_budget,
-        compress=compress,
-    )
-    cached = cache.load(key) if cache is not None else None
-    if cached is not None:
-        return cached, True
-    mfa = compile_mfa(
-        rules,
-        splitter_options=splitter_options,
-        parser_options=parser_options,
-        state_budget=state_budget,
-        compress=compress,
-    )
-    if cache is not None:
-        cache.store(key, mfa)
-    return mfa, False

@@ -44,19 +44,14 @@ from __future__ import annotations
 from math import sqrt
 from typing import Iterator, Sequence
 
+import numpy as _np
+
 from ..automata.nfa import MatchEvent
 from ..core.filters import NONE
 from ..core.mfa import MFA, FlowContext
 from .prefilter import PrefilterRuntime, build_prefilter
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY both ways in tests
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a wheel dependency
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-__all__ = ["FastPathMFA", "build_fastpath", "HAVE_NUMPY"]
+__all__ = ["FastPathMFA", "build_fastpath"]
 
 # Segment-length clamps for the auto sizing rule L ~ sqrt(batch_bytes / 8):
 # short segments mean more lanes (cheap, vectorized) and fewer lockstep
@@ -141,8 +136,7 @@ class FastPathMFA:
         self.prefilter_mode = prefilter
         self._prefilter_runtime: PrefilterRuntime | None = None
         self._vector_ready = False
-        if HAVE_NUMPY:
-            self._build_tables()
+        self._build_tables()
         if prefilter != "off" and self._vector_ready:
             plan = mfa.prefilter
             if plan is None:

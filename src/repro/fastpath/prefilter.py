@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+import numpy as _np
+
 from ..core.filters import NONE, FilterAction
 from ..regex.analysis import max_length, min_length, required_chains
 from ..regex.ast import ClassNode, Concat, Node, Repeat
@@ -55,11 +57,6 @@ from ..regex.charclass import CharClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime cycle
     from ..core.mfa import MFA
-
-try:  # pragma: no cover - exercised via HAVE_NUMPY both ways in tests
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a wheel dependency
-    _np = None
 
 __all__ = ["build_prefilter", "PrefilterRuntime", "plan_summary"]
 
@@ -563,8 +560,6 @@ class PrefilterRuntime:
     """
 
     def __init__(self, plan: dict):
-        if _np is None:  # pragma: no cover - engine gates on HAVE_NUMPY
-            raise RuntimeError("PrefilterRuntime requires numpy")
         if plan.get("version") != PLAN_VERSION:
             raise ValueError(f"unsupported prefilter plan version: {plan.get('version')}")
         self.plan = plan

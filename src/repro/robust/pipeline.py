@@ -32,7 +32,9 @@ from typing import BinaryIO, Iterable, Sequence
 from ..automata.dfa import DfaExplosionError, build_dfa
 from ..automata.hybridfa import build_hybrid_fa
 from ..automata.nfa import build_nfa
+from ..core.sharded import ShardedMFA
 from ..core.splitter import SplitterOptions, split_patterns
+from ..fastcompile.shards import ShardBuild, compile_shards, partition_patterns
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions, parse
 from ..traffic.flows import Flow, FlowAssembler, FlowLimits, FlowMatch, Packet
@@ -55,6 +57,21 @@ class CompileResult:
     @property
     def ok(self) -> bool:
         return self.engine is not None
+
+
+def _trail_entry(
+    engine_name: str, budget: int | None, shard: int | None, build: ShardBuild
+) -> EngineAttempt:
+    """The attempt-trail entry of one build: shipped (noting a cache
+    load), over its budget, or failed."""
+    error = build.error
+    if error is None:
+        note = "loaded from artifact cache" if build.cached else None
+    elif isinstance(error, DfaExplosionError):
+        note = f"exceeded {error.budget} {error.reason}"
+    else:
+        note = f"{type(error).__name__}: {error}"
+    return EngineAttempt(engine_name, budget, build.seconds, build.ok, note, shard)
 
 
 class ResilientCompiler:
@@ -90,16 +107,16 @@ class ResilientCompiler:
         # bound; 0 = dense).  Applies to MFA builds only — the fallback
         # engines have no compressed tier.
         self.compress = compress
-        # Optional repro.fastpath.ArtifactCache: MFA attempts consult it
-        # before building and store fresh builds for the next run.  In
-        # sharded mode each shard is keyed separately, so one-rule edits
-        # rebuild one shard.
+        # Optional repro.fastpath.ArtifactCache: every MFA attempt builds
+        # through compile_shards, which consults it first and stores fresh
+        # builds for the next run.  In sharded mode each shard is keyed
+        # separately, so one-rule edits rebuild one shard.
         self.cache = cache
         # shards > 1 partitions the surviving rules into contiguous chunks
         # compiled across `jobs` worker processes.  Degradation is then
         # per-shard: a shard that explodes walks the fallback chain alone
         # while the others stay MFAs, and the combined engine is a
-        # repro.fastcompile.ShardedMFA over the per-shard winners.
+        # repro.core.sharded.ShardedMFA over the per-shard winners.
         self.shards = max(1, shards)
         self.jobs = max(1, jobs)
 
@@ -137,32 +154,40 @@ class ResilientCompiler:
 
     # -- engine fallback -----------------------------------------------------
 
-    def _attempt(
+    def _compile_mfas(
         self,
-        engine_name: str,
-        patterns: list[Pattern],
+        shard_patterns: Sequence[Sequence[Pattern]],
         budget: int,
-        phases: dict[str, float] | None = None,
-    ):
-        time_budget = self.limits.time_budget
-        if engine_name == "mfa":
-            from ..core.mfa import build_mfa
+        report: CompileReport,
+        jobs: int = 1,
+    ) -> list[ShardBuild]:
+        """MFA builds of pattern groups at one budget, through the cache."""
+        return compile_shards(
+            shard_patterns,
+            self.splitter_options,
+            self.parser_options,
+            state_budget=budget,
+            time_budget=self.limits.time_budget,
+            jobs=jobs,
+            cache=self.cache,
+            phases=report.phases,
+            compress=self.compress,
+        )
 
-            return build_mfa(
-                patterns,
-                self.splitter_options,
-                state_budget=budget,
-                time_budget=time_budget,
-                phases=phases,
-                compress=self.compress,
-            )
-        if engine_name == "dfa":
-            return build_dfa(patterns, state_budget=budget, time_budget=time_budget)
-        if engine_name == "hybridfa":
-            return build_hybrid_fa(patterns, state_budget=budget, time_budget=time_budget)
-        if engine_name == "nfa":
-            return build_nfa(patterns)
-        raise ValueError(f"unknown engine {engine_name!r}")
+    def _attempt(self, engine_name: str, patterns: list[Pattern], budget: int) -> ShardBuild:
+        """One fallback-engine build; MFAs go through :meth:`_compile_mfas`."""
+        time_budget = self.limits.time_budget
+        tick = time.perf_counter()
+        try:
+            if engine_name == "dfa":
+                engine: object = build_dfa(patterns, state_budget=budget, time_budget=time_budget)
+            elif engine_name == "hybridfa":
+                engine = build_hybrid_fa(patterns, state_budget=budget, time_budget=time_budget)
+            else:
+                engine = build_nfa(patterns)
+        except Exception as exc:  # noqa: BLE001 - fall through the chain
+            return ShardBuild(None, exc, False, time.perf_counter() - tick)
+        return ShardBuild(engine, None, False, time.perf_counter() - tick)
 
     def _compile_chain(
         self,
@@ -212,67 +237,15 @@ class ResilientCompiler:
                         )
                     )
                     continue
-                start = time.perf_counter()
-                cache_key = None
-                if engine_name == "mfa" and self.cache is not None:
-                    from ..fastpath.cache import cache_key as make_key
-
-                    cache_key = make_key(
-                        patterns,
-                        splitter_options=self.splitter_options,
-                        parser_options=self.parser_options,
-                        state_budget=budget or 0,
-                        compress=self.compress,
-                    )
-                    cached = self.cache.load(cache_key)
-                    if cached is not None:
-                        report.attempts.append(
-                            EngineAttempt(
-                                engine_name,
-                                budget,
-                                time.perf_counter() - start,
-                                True,
-                                "loaded from artifact cache",
-                                shard,
-                            )
-                        )
-                        return cached, engine_name
-                try:
-                    engine = self._attempt(
-                        engine_name, patterns, budget or 0, phases=report.phases
-                    )
-                except DfaExplosionError as exc:
-                    report.attempts.append(
-                        EngineAttempt(
-                            engine_name,
-                            budget,
-                            time.perf_counter() - start,
-                            False,
-                            f"exceeded {exc.budget} {exc.reason}",
-                            shard,
-                        )
-                    )
-                    continue  # escalate the budget
-                except Exception as exc:  # noqa: BLE001 - fall through the chain
-                    report.attempts.append(
-                        EngineAttempt(
-                            engine_name,
-                            budget,
-                            time.perf_counter() - start,
-                            False,
-                            f"{type(exc).__name__}: {exc}",
-                            shard,
-                        )
-                    )
+                if engine_name == "mfa":
+                    (build,) = self._compile_mfas([patterns], budget or 0, report)
+                else:
+                    build = self._attempt(engine_name, patterns, budget or 0)
+                report.attempts.append(_trail_entry(engine_name, budget, shard, build))
+                if build.ok:
+                    return build.engine, engine_name
+                if not isinstance(build.error, DfaExplosionError):
                     break  # not a budget problem: next engine
-                report.attempts.append(
-                    EngineAttempt(
-                        engine_name, budget, time.perf_counter() - start, True, None, shard
-                    )
-                )
-                if cache_key is not None:
-                    self.cache.store(cache_key, engine)
-                return engine, engine_name
         return None, None
 
     @staticmethod
@@ -303,71 +276,31 @@ class ResilientCompiler:
         chain *individually* — escalating budgets, then weaker engines —
         so one pathological shard degrades alone while the rest stay
         MFAs.  The winners recombine into a
-        :class:`repro.fastcompile.ShardedMFA`.
+        :class:`repro.core.sharded.ShardedMFA`.
         """
-        from ..fastcompile.shards import ShardedMFA, compile_shards, partition_patterns
-
         shard_patterns = partition_patterns(patterns, self.shards)
         report.n_shards = len(shard_patterns)
-        first_budget = self.limits.budget_schedule[0] if self.limits.budget_schedule else 0
-        mfa_first = "mfa" in self.limits.fallback_chain and bool(
-            self.limits.budget_schedule
-        )
+        first_budget = self.limits.budget_schedule[0]
         builds = None
-        if mfa_first:
-            builds = compile_shards(
-                shard_patterns,
-                self.splitter_options,
-                self.parser_options,
-                state_budget=first_budget,
-                time_budget=self.limits.time_budget,
-                jobs=self.jobs,
-                cache=self.cache,
-                phases=report.phases,
-                compress=self.compress,
-            )
+        if "mfa" in self.limits.fallback_chain:
+            builds = self._compile_mfas(shard_patterns, first_budget, report, jobs=self.jobs)
         engines: list[object] = []
         names: list[str] = []
         for index, shard in enumerate(shard_patterns):
-            if builds is not None:
-                build = builds[index]
-                if build.ok:
-                    report.attempts.append(
-                        EngineAttempt(
-                            "mfa",
-                            first_budget,
-                            build.seconds,
-                            True,
-                            "loaded from artifact cache" if build.cached else None,
-                            index,
-                        )
-                    )
-                    engines.append(build.engine)
-                    names.append("mfa")
-                    continue
-                exploded = isinstance(build.error, DfaExplosionError)
-                error = build.error
-                report.attempts.append(
-                    EngineAttempt(
-                        "mfa",
-                        first_budget,
-                        build.seconds,
-                        False,
-                        f"exceeded {error.budget} {error.reason}"
-                        if exploded
-                        else f"{type(error).__name__}: {error}",
-                        index,
-                    )
-                )
-                engine, name = self._compile_chain(
-                    shard,
-                    report,
-                    shard=index,
-                    mfa_budget_start=1,
-                    skip_mfa=not exploded,
-                )
-            else:
+            if builds is None:
                 engine, name = self._compile_chain(shard, report, shard=index)
+            else:
+                build = builds[index]
+                report.attempts.append(_trail_entry("mfa", first_budget, index, build))
+                engine, name = build.engine, "mfa"
+                if not build.ok:
+                    engine, name = self._compile_chain(
+                        shard,
+                        report,
+                        shard=index,
+                        mfa_budget_start=1,
+                        skip_mfa=not isinstance(build.error, DfaExplosionError),
+                    )
             if engine is not None:
                 engines.append(engine)
                 names.append(name)

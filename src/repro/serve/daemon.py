@@ -44,9 +44,8 @@ from typing import BinaryIO, Iterable, Sequence
 
 from ..automata.dfa import DEFAULT_STATE_BUDGET
 from ..automata.nfa import MatchEvent
-from ..core.compiler import compile_patterns
+from ..core.compiler import compile_mfa
 from ..core.splitter import SplitterOptions
-from ..fastcompile.shards import compile_shards, partition_patterns
 from ..fastpath.engine import PREFILTER_MODES
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions
@@ -210,27 +209,25 @@ class ScanDaemon:
     def _compile_bundles(self, rules: Sequence[str | Pattern]) -> tuple[list[bytes], int, int]:
         """Per-shard bundles for a rule list, through the artifact cache.
 
-        Returns ``(bundles, rebuilt, cached)``.  Any shard failure
-        propagates — the daemon's contract is a servable MFA per shard;
-        degraded serving is the batch pipeline's job.
+        Returns ``(bundles, rebuilt, cached)``; ``cached`` is how many
+        shards the compile loaded from the cache (its ``hits`` delta).
+        Any shard failure propagates — the daemon's contract is a
+        servable MFA per shard; degraded serving is the batch pipeline's
+        job.
         """
-        patterns = compile_patterns(list(rules), self.parser_options)
-        shard_patterns = partition_patterns(patterns, self.shards)
-        builds = compile_shards(
-            shard_patterns,
+        hits = self.cache.hits if self.cache is not None else 0
+        engine = compile_mfa(
+            list(rules),
             self.splitter_options,
             self.parser_options,
-            state_budget=self.state_budget,
+            self.state_budget,
+            shards=self.shards,
             cache=self.cache,
             compress=self.config.compress,
         )
-        for build in builds:
-            if build.error is not None:
-                raise build.error
-        bundles = [serialize_engine(build.engine)[0] for build in builds]
-        rebuilt = sum(1 for build in builds if not build.cached)
-        cached = sum(1 for build in builds if build.cached)
-        return bundles, rebuilt, cached
+        bundles = serialize_engine(engine)
+        cached = self.cache.hits - hits if self.cache is not None else 0
+        return bundles, len(bundles) - cached, cached
 
     def _worker_config(self) -> dict:
         return {
@@ -307,13 +304,10 @@ class ScanDaemon:
             # Workers build their engines process-locally; mirror the
             # disposition they will resolve so status() can report it.
             from ..core.serialize import BUNDLE_MAGIC
-            from ..fastpath import HAVE_NUMPY
 
             self.report.prefilter_mode = self.config.prefilter
-            self.report.prefilter_active = bool(
-                HAVE_NUMPY
-                and self.config.prefilter != "off"
-                and any(not blob.startswith(BUNDLE_MAGIC) for blob in bundles)
+            self.report.prefilter_active = self.config.prefilter != "off" and any(
+                not blob.startswith(BUNDLE_MAGIC) for blob in bundles
             )
         with self._lock:
             for slot in self._slots:

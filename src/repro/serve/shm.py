@@ -16,7 +16,7 @@ Segment layout (one *generation* of the rule set)::
 
 Shard bundles are kept separate (rather than re-merged) so live reload
 can rebuild one shard and so the loaded engine recombines through the
-same :class:`repro.fastcompile.ShardedMFA` layer the batch compiler uses.
+same :class:`repro.core.sharded.ShardedMFA` layer the batch compiler uses.
 
 Lifetime rules: the *daemon* creates and unlinks segments; workers only
 attach and close.  Engines loaded with ``mmap=True`` hold views into the
@@ -102,7 +102,7 @@ def serialize_engine(engine: object) -> list[bytes]:
     """The per-shard ``.mfab`` bundles of a servable engine.
 
     Serves only MFA-backed engines: a plain :class:`MFA` is one shard, a
-    :class:`~repro.fastcompile.shards.ShardedMFA` contributes one bundle
+    :class:`~repro.core.sharded.ShardedMFA` contributes one bundle
     per shard.  Fallback engines (Hybrid-FA, NFA) have no serialized
     form, so a degraded shard cannot be served — the error says so
     rather than silently serving the wrong thing.
@@ -155,7 +155,7 @@ def load_engine_from_buffer(
         raise ValueError(f"unknown serve engine {engine!r}; have mfa, fastpath")
     if len(shards) == 1:
         return shards[0]
-    from ..fastcompile.shards import ShardedMFA
+    from ..core.sharded import ShardedMFA
 
     return ShardedMFA(shards)
 

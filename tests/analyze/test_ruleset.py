@@ -198,8 +198,20 @@ class TestShardPlanning:
         assert contig.run(payload) == inter.run(payload)
 
     def test_unknown_plan_raises(self):
-        with pytest.raises(ValueError):
-            compile_mfa(list(patterns_for("C8")), shards=2, shard_plan="bogus")
+        # Whatever the shard count, and before any rule parses.
+        for shards in (1, 2):
+            with pytest.raises(ValueError, match="shard_plan"):
+                compile_mfa(list(patterns_for("C8")), shards=shards, shard_plan="bogus")
+            with pytest.raises(ValueError, match="shard_plan"):
+                compile_mfa(["(unparseable"], shards=shards, shard_plan="bogus")
+
+    @pytest.mark.parametrize(
+        "option", [{"shards": 0}, {"shards": -3}, {"jobs": 0}], ids=["shards0", "shards-3", "jobs0"]
+    )
+    def test_bad_shard_count_raises_before_parsing(self, option):
+        (name,) = option
+        with pytest.raises(ValueError, match=name):
+            compile_mfa(["(unparseable"], **option)
 
     def test_partition_patterns_empty_input(self):
         assert partition_patterns([], 4) == []

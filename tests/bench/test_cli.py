@@ -21,6 +21,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["compile", "nope"])
 
+    @pytest.mark.parametrize("flag", ["--shards", "--jobs"])
+    def test_compile_rejects_a_count_below_one(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "C8", flag, "0"])
+        assert exc.value.code == 2
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -64,6 +70,25 @@ class TestScanCommand:
     def test_scan_needs_pcap(self):
         with pytest.raises(SystemExit):
             main(["scan", "C8"])
+
+    @pytest.mark.parametrize("engine", ["mfa", "fastpath"])
+    def test_scan_reassembles_a_reordered_capture(self, capsys, monkeypatch, tmp_path, engine):
+        # The second segment arrives first; the reassembled flow carries
+        # C8's first rule across the segment boundary.
+        from repro.traffic import FiveTuple, Packet, write_pcap
+        from repro.traffic.flows import PROTO_TCP
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        key = FiveTuple(PROTO_TCP, "10.0.0.1", 2000, "192.168.0.1", 80)
+        head = b"GET /cgi-bin/a"
+        pcap = tmp_path / "reordered.pcap"
+        with open(pcap, "wb") as stream:
+            tail = Packet(key=key, payload=b"/../", seq=len(head))
+            write_pcap(stream, [tail, Packet(key=key, payload=head, seq=0)])
+        assert main(["scan", "C8", str(pcap), "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert "2 packets decoded" in out
+        assert "1 alerts across 1 flows" in out
 
 
 class TestCompressFlag:

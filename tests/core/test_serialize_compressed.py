@@ -18,16 +18,13 @@ from repro.automata.dfa import DFA
 from repro.automata.serialize import dumps_cdfa, dumps_dfa, loads_cdfa
 from repro.core import compile_mfa
 from repro.core.serialize import dumps_mfa, loads_mfa
-from repro.fastpath import HAVE_NUMPY, build_fastpath
+from repro.fastpath import build_fastpath
 
 RULES = [".*aa.*bb", ".*cc[^\\n]*dd", ".*ee.{1,4}ffq", "^GET /x", "plain"]
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "bundles"
 
 PAYLOADS = (b"aa.bb", b"cc x dd", b"ee12ffq", b"GET /x", b"plain", b"zzz", b"")
 LONG_PAYLOADS = (b"zzz" * 40, b"aa" + b"." * 100 + b"bb", b"x" * 300 + b"cc-dd")
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="fastpath needs numpy")
-
 
 @pytest.fixture(scope="module")
 def cmfa():
@@ -83,12 +80,10 @@ class TestCompressedLoad:
         events += list(restored.finish(context))
         assert sorted(events) == sorted(dense_mfa.run(b"aa.bb"))
 
-    @needs_numpy
     def test_fastpath_keeps_the_prefilter(self, restored):
         assert restored.prefilter is not None  # the plan made the trip
         assert build_fastpath(restored, prefilter="auto").prefilter_active
 
-    @needs_numpy
     def test_fastpath_batch_stream_matches_dense(self, restored, dense_mfa):
         payloads = list(PAYLOADS + LONG_PAYLOADS)
         want = [dense_mfa.run(p) for p in payloads]

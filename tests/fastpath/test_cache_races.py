@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.core import compile_mfa
+from repro.core import compile_mfa, compile_patterns
 from repro.fastpath import ArtifactCache
 from repro.fastpath.cache import cache_key
 
@@ -73,7 +73,7 @@ class TestConcurrentWriters:
     def test_two_process_store_race_ends_valid(self, tmp_path):
         """Racing writers of one key always leave one valid entry."""
         directory = tmp_path / "cache"
-        key = cache_key(RULES)
+        key = cache_key(compile_patterns(RULES))
         ctx = multiprocessing.get_context("spawn")
         barrier = ctx.Barrier(2)
         writers = [
@@ -95,7 +95,7 @@ class TestConcurrentWriters:
     def test_stress_with_corruptor_is_always_valid_or_miss(self, tmp_path):
         """Writers + corruptor + reader racing: reader never sees garbage."""
         directory = tmp_path / "cache"
-        key = cache_key(RULES)
+        key = cache_key(compile_patterns(RULES))
         ctx = multiprocessing.get_context("spawn")
         barrier = ctx.Barrier(4)
         failures = ctx.Queue()
@@ -127,7 +127,7 @@ class TestCorruptUnlinkRace:
         read must not license deleting the *fresh* entry that replaced it.
         """
         cache = ArtifactCache(tmp_path / "cache")
-        key = cache_key(RULES)
+        key = cache_key(compile_patterns(RULES))
         path = cache.path_for(key)
         cache.directory.mkdir(parents=True)
         path.write_bytes(b"garbage the reader saw")
@@ -141,7 +141,7 @@ class TestCorruptUnlinkRace:
 
     def test_cleanup_removes_the_exact_file_it_read(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
-        key = cache_key(RULES)
+        key = cache_key(compile_patterns(RULES))
         path = cache.path_for(key)
         cache.directory.mkdir(parents=True)
         path.write_bytes(b"still the same garbage")
@@ -151,7 +151,7 @@ class TestCorruptUnlinkRace:
     def test_corrupt_load_still_misses_and_cleans(self, tmp_path):
         """End-to-end: corrupt entry -> miss, removed, rebuild succeeds."""
         cache = ArtifactCache(tmp_path / "cache")
-        key = cache_key(RULES)
+        key = cache_key(compile_patterns(RULES))
         cache.directory.mkdir(parents=True)
         cache.path_for(key).write_bytes(b"\x00" * 100)
         assert cache.load(key) is None

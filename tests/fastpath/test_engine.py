@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile_mfa
-from repro.fastpath import HAVE_NUMPY, FastPathMFA, build_fastpath
+from repro.fastpath import FastPathMFA, build_fastpath
 
 RULES = [
     ".*alpha.*omega",
@@ -31,9 +31,6 @@ payloads_strategy = st.lists(
     st.lists(st.sampled_from(FRAGMENTS), max_size=24).map(b"".join),
     max_size=8,
 )
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="fastpath needs numpy")
-
 
 @pytest.fixture(scope="module")
 def mfa():
@@ -149,8 +146,8 @@ class TestScalarFallback:
     @given(payloads=payloads_strategy)
     @settings(max_examples=25, deadline=None)
     def test_fallback_path_matches_scalar(self, mfa, payloads):
-        # The pure-Python path used when numpy is absent stays live even
-        # on numpy machines: drive it directly.
+        # The pure-Python path that empty batches take stays live: drive
+        # it directly.
         engine = build_fastpath(mfa)
         contexts = [engine.new_context() for _ in payloads]
         got = engine._feed_scalar(contexts, payloads)

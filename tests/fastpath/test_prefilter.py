@@ -16,14 +16,11 @@ from hypothesis import strategies as st
 from repro.core import compile_mfa
 from repro.core.serialize import dumps_mfa, loads_mfa, split_bundle
 from repro.fastpath import (
-    HAVE_NUMPY,
     FastPathMFA,
     build_fastpath,
     build_prefilter,
     plan_summary,
 )
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="fastpath needs numpy")
 
 RULES = [
     ".*alpha.*omega",

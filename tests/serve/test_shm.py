@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import compile_mfa
 from repro.core.serialize import dumps_mfa, loads_mfa
-from repro.fastcompile.shards import ShardedMFA
+from repro.core.sharded import ShardedMFA
 from repro.serve.shm import (
     SEGMENT_MAGIC,
     ArtifactSegment,

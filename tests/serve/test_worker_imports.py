@@ -2,12 +2,14 @@
 
 Every worker start, crash respawn included, pays for what the worker
 imports, and every worker holds it in memory.  The gate runs the real
-``worker_main`` in a fresh spawned interpreter, over a one-shard
-segment with the fastpath engine, and then reads that interpreter's
-``sys.modules``.
+``worker_main`` in a fresh spawned interpreter, over a one-shard and a
+two-shard segment with the fastpath engine, and then reads that
+interpreter's ``sys.modules``.
 """
 
 import multiprocessing
+
+import pytest
 
 from repro.core import compile_mfa
 from repro.serve import ScanDaemon, ServeConfig
@@ -42,8 +44,10 @@ modules.send(sorted(sys.modules))
 """
 
 
-def test_spawned_worker_imports_only_the_scan_path():
-    mfa = compile_mfa(RULES)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_spawned_worker_imports_only_the_scan_path(shards):
+    mfa = compile_mfa(RULES, shards=shards)
+    assert getattr(mfa, "n_shards", 1) == shards
     ctx = multiprocessing.get_context("spawn")
     segment = ArtifactSegment.create(serialize_engine(mfa), generation=1)
     work = ctx.Queue()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile_mfa
-from repro.fastpath import HAVE_NUMPY, build_fastpath
+from repro.fastpath import build_fastpath
 from repro.traffic.flows import FiveTuple, Packet, PROTO_TCP
 from repro.traffic.replay import ReplayStats, replay
 
@@ -262,7 +262,6 @@ def batch_engine(request, batch_mfa):
     return build_fastpath(batch_mfa, prefilter=request.param)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="fastpath needs numpy")
 class TestBatchedReplay:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("order", [back_to_back, round_robin])
@@ -342,7 +341,6 @@ class _BatchGrenade:
         return self.inner.feed_batch(contexts, payloads)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="fastpath needs numpy")
 class TestBatchedReplayIsolation:
     def _traffic(self):
         # Six two-packet flows, back to back; flow 1's first packet carries
@@ -371,7 +369,6 @@ class TestBatchedReplayIsolation:
         assert stats.n_alerts == 4
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="fastpath needs numpy")
 class TestBatchedReplayFlowTable:
     def test_max_flows_evicts_and_finishes(self, batch_engine):
         traffic = [Packet(key=flow_key(i), payload=b"alpha omega ", seq=0) for i in range(10)]
