@@ -149,17 +149,47 @@ def _cmd_rcompile(set_name: str) -> int:
     return 0 if result.ok else 1
 
 
+def _scan_and_print(engine, pcap_path: str, describe: bool) -> int:
+    """The tail ``scan`` and ``rscan`` share: one :func:`resilient_scan` of
+    the capture (lockstep batches when the engine has a ``batch_hint``),
+    its summary (the whole report when ``describe``) and the ten rules
+    with the most hits."""
+    from collections import Counter
+
+    from .. import config
+    from ..robust import resilient_scan
+    from ..traffic.pcap import PcapError
+
+    try:
+        alerts, report = resilient_scan(
+            engine,
+            pcap_path,
+            limits=config.scan_limits(),
+            batch_size=getattr(engine, "batch_hint", None),
+        )
+    except (OSError, PcapError) as exc:
+        # Tolerance covers records, not the preamble: a file that is not
+        # a capture at all (or cannot be opened) is an operator error.
+        print(f"cannot scan {pcap_path}: {exc}")
+        return 1
+    if describe:
+        for line in report.describe():
+            print(line)
+    else:
+        print(f"{report.n_packets} packets decoded from {pcap_path}")
+        print(f"{len(alerts)} alerts across {len({a.key for a in alerts})} flows")
+    by_rule = Counter(alert.event.match_id for alert in alerts)
+    for match_id, count in by_rule.most_common(10):
+        print(f"  rule {{{{{match_id}}}}}: {count} hits")
+    return 0
+
+
 def _cmd_rscan(
     set_name: str,
     pcap_path: str,
     engine_choice: str = "mfa",
     prefilter: str = "auto",
 ) -> int:
-    from collections import Counter
-
-    from .. import config
-    from ..robust import resilient_scan
-    from ..traffic.pcap import PcapError
     from .harness import build_resilient
 
     result = build_resilient(set_name)
@@ -169,33 +199,17 @@ def _cmd_rscan(
     if not result.ok:
         return 1
     engine = result.engine
-    batch_size = None
     if engine_choice == "fastpath":
         from ..core.mfa import MFA
         from ..fastpath import build_fastpath
 
         if isinstance(engine, MFA):
             engine = build_fastpath(engine, prefilter=prefilter)
-            batch_size = engine.batch_hint
         else:
             # The fallback chain shipped a non-MFA engine; the lockstep
             # wrapper only accelerates MFAs, so scan scalar and say so.
             print(f"fastpath unavailable for {result.engine_name}; scanning scalar")
-    try:
-        alerts, report = resilient_scan(
-            engine, pcap_path, limits=config.scan_limits(), batch_size=batch_size
-        )
-    except (OSError, PcapError) as exc:
-        # Tolerance covers records, not the preamble: a file that is not
-        # a capture at all (or cannot be opened) is an operator error.
-        print(f"cannot scan {pcap_path}: {exc}")
-        return 1
-    for line in report.describe():
-        print(line)
-    by_rule = Counter(alert.event.match_id for alert in alerts)
-    for match_id, count in by_rule.most_common(10):
-        print(f"  rule {{{{{match_id}}}}}: {count} hits")
-    return 0
+    return _scan_and_print(engine, pcap_path, describe=True)
 
 
 def _cmd_serve(
@@ -318,11 +332,6 @@ def _cmd_scan(
     prefilter: str = "auto",
     compress: int = 0,
 ) -> int:
-    from collections import Counter
-
-    from .. import config
-    from ..robust import resilient_scan
-    from ..traffic.pcap import PcapError
     from .harness import build_engine
 
     if compress:
@@ -335,7 +344,6 @@ def _cmd_scan(
         print(f"cannot compile {set_name}: {built.error}")
         return 1
     engine = built.engine
-    batch_size = None
     if engine_choice == "fastpath":
         if prefilter != getattr(engine, "prefilter_mode", prefilter):
             # build_engine caches one wrapper per set; re-wrap the shared
@@ -345,20 +353,7 @@ def _cmd_scan(
             engine = build_fastpath(engine.mfa, prefilter=prefilter)
         state = "active" if getattr(engine, "prefilter_active", False) else "inactive"
         print(f"prefilter: {prefilter} ({state})")
-        batch_size = engine.batch_hint
-    try:
-        alerts, report = resilient_scan(
-            engine, pcap_path, limits=config.scan_limits(), batch_size=batch_size
-        )
-    except (OSError, PcapError) as exc:
-        print(f"cannot scan {pcap_path}: {exc}")
-        return 1
-    print(f"{report.n_packets} packets decoded from {pcap_path}")
-    by_rule = Counter(alert.event.match_id for alert in alerts)
-    print(f"{len(alerts)} alerts across {len({a.key for a in alerts})} flows")
-    for match_id, count in by_rule.most_common(10):
-        print(f"  rule {{{{{match_id}}}}}: {count} hits")
-    return 0
+    return _scan_and_print(engine, pcap_path, describe=False)
 
 
 def _lint_one_set(set_name: str):
@@ -1013,6 +1008,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("serve needs a pattern set name")
         if args.set_name not in all_set_names():
             parser.error(f"unknown set {args.set_name!r}; have {all_set_names()}")
+        if args.shards < 1 or args.workers < 1:
+            parser.error("serve needs --shards and --workers of at least 1")
         return _cmd_serve(
             args.set_name,
             args.pcap,

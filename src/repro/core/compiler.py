@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..automata.dfa import DFA, DEFAULT_STATE_BUDGET, build_dfa
 from ..automata.nfa import NFA, build_nfa
-from ..fastcompile.shards import compile_shards, partition_patterns
+from ..fastcompile.shards import check_counts, compile_shards, partition_patterns
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions, parse
 from .mfa import MFA
@@ -160,9 +160,7 @@ def compile_mfa(
     forest so the artifact serialises in the compressed tier (see
     :func:`repro.core.mfa.build_mfa`); 0 keeps it dense.
     """
-    for name, value in (("shards", shards), ("jobs", jobs)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_counts(shards=shards, jobs=jobs)
     if shard_plan not in SHARD_PLANS:
         raise ValueError(f"unknown shard_plan {shard_plan!r}; known: {', '.join(SHARD_PLANS)}")
     tick = time.perf_counter()

@@ -1,12 +1,13 @@
-"""The scan side of a sharded compile: per-shard engines as one matcher.
+"""The scan side of a sharded compile, and the one isolated batch scan.
 
 :func:`repro.fastcompile.compile_shards` builds one MFA per shard;
 :class:`ShardedMFA` runs them side by side and merges their confirmed
 streams into the canonical ``(pos, match_id)`` order (the order
-:class:`~repro.automata.mdfa.MDFA` uses).  It lives apart from the
-compiler so a serve worker can run a sharded artifact without importing
-it, and apart from :mod:`repro.core.mfa` so a one-shard worker does not
-load it at all.
+:class:`~repro.automata.mdfa.MDFA` uses).  :func:`scan_batch` scans a
+batch of payloads through any engine, and :func:`scan_isolated` does so
+with per-payload failure isolation for every capture scan, the serve
+worker's included.  The module lives apart from the compiler so a serve
+worker can run a sharded artifact without importing it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, Sequence
 
 from ..automata.nfa import MatchEvent
 
-__all__ = ["ShardedContext", "ShardedMFA", "scan_batch"]
+__all__ = ["ShardedContext", "ShardedMFA", "scan_batch", "scan_isolated"]
 
 
 def scan_batch(engine: object, payloads: Sequence[bytes]) -> list[list[MatchEvent]]:
@@ -25,6 +26,23 @@ def scan_batch(engine: object, payloads: Sequence[bytes]) -> list[list[MatchEven
     if run_batch is not None:
         return run_batch(payloads)  # type: ignore[no-any-return]
     return [engine.run(payload) for payload in payloads]  # type: ignore[attr-defined]
+
+
+def scan_isolated(
+    engine: object, payloads: Sequence[bytes]
+) -> list[list[MatchEvent] | Exception]:
+    """Each payload's events, or the exception its scan raised.
+
+    One :func:`scan_batch`; if that raises, each payload is scanned alone,
+    so a failure poisons only the payload that raised it.  Every capture
+    scan isolates flows through here.
+    """
+    try:
+        return list(scan_batch(engine, payloads))
+    except Exception as exc:  # noqa: BLE001 - per-payload isolation
+        if len(payloads) == 1:
+            return [exc]
+        return [scan_isolated(engine, [payload])[0] for payload in payloads]
 
 
 class ShardedContext:

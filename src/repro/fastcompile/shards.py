@@ -37,7 +37,7 @@ from ..core.splitter import SplitterOptions
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions
 
-__all__ = ["ShardBuild", "partition_patterns", "compile_shards"]
+__all__ = ["ShardBuild", "check_counts", "partition_patterns", "compile_shards"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +58,17 @@ class ShardBuild:
         return self.engine is not None
 
 
+def check_counts(**counts: int) -> None:
+    """Raise ``ValueError`` naming the first count below 1.
+
+    The one check of shard, job and worker counts, made by every
+    compiler and the daemon before anything parses, builds or spawns.
+    """
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def partition_patterns(
     patterns: Sequence[Pattern], shards: int
 ) -> list[list[Pattern]]:
@@ -67,8 +78,7 @@ def partition_patterns(
     editing rule *i* changes the content (and therefore the key) of exactly
     one chunk, so a re-compile misses only that shard.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
+    check_counts(shards=shards)
     n = len(patterns)
     if n == 0:
         return []

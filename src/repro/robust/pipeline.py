@@ -25,20 +25,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from io import BytesIO
 from os import PathLike
 from typing import BinaryIO, Iterable, Sequence
 
 from ..automata.dfa import DfaExplosionError, build_dfa
 from ..automata.hybridfa import build_hybrid_fa
 from ..automata.nfa import build_nfa
-from ..core.sharded import ShardedMFA
+from ..core.sharded import ShardedMFA, scan_isolated
 from ..core.splitter import SplitterOptions, split_patterns
-from ..fastcompile.shards import ShardBuild, compile_shards, partition_patterns
+from ..fastcompile.shards import ShardBuild, check_counts, compile_shards, partition_patterns
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions, parse
-from ..traffic.flows import Flow, FlowAssembler, FlowLimits, FlowMatch, Packet
-from ..traffic.pcap import read_pcap
+from ..traffic.flows import Flow, FlowLimits, FlowMatch, Packet
+from ..traffic.pcap import ingest_flows
 from .limits import CompileLimits
 from .report import COMPILED, QUARANTINED, CompileReport, EngineAttempt, RuleOutcome, ScanReport
 
@@ -100,6 +99,7 @@ class ResilientCompiler:
         jobs: int = 1,
         compress: int = 0,
     ) -> None:
+        check_counts(shards=shards, jobs=jobs)
         self.limits = limits or CompileLimits()
         self.splitter_options = splitter_options
         self.parser_options = parser_options
@@ -117,8 +117,8 @@ class ResilientCompiler:
         # per-shard: a shard that explodes walks the fallback chain alone
         # while the others stay MFAs, and the combined engine is a
         # repro.core.sharded.ShardedMFA over the per-shard winners.
-        self.shards = max(1, shards)
-        self.jobs = max(1, jobs)
+        self.shards = shards
+        self.jobs = jobs
 
     # -- rule isolation ------------------------------------------------------
 
@@ -397,11 +397,10 @@ def resilient_scan(
     that flow only.  Returns the confirmed matches plus a
     :class:`ScanReport` of everything that degraded.
 
-    ``batch_size`` groups reassembled flows into lockstep batches when
-    the engine exposes ``run_batch`` (the fastpath engine).  Batches run
-    over fresh per-flow contexts, so a failing batch is simply retried
-    flow by flow through the scalar path — isolation semantics and the
-    per-flow match streams are unchanged.
+    ``batch_size`` groups reassembled flows into one ``run_batch`` each
+    (lockstep in the fastpath engine); a group that raises is rescanned
+    flow by flow (:func:`~repro.core.sharded.scan_isolated`), so isolation
+    and the per-flow match streams do not depend on it.
     """
     report = ScanReport()
     mode = getattr(engine, "prefilter_mode", None)
@@ -409,61 +408,18 @@ def resilient_scan(
         report.prefilter_mode = mode
         report.prefilter_active = bool(getattr(engine, "prefilter_active", False))
     alerts: list[FlowMatch] = []
-    batching = bool(batch_size and batch_size > 1 and hasattr(engine, "run_batch"))
-    pending: list[Flow] = []
 
-    def scan_one(flow: Flow) -> None:
-        report.n_flows += 1
-        try:
-            events = engine.run(flow.payload)
-        except Exception as exc:  # noqa: BLE001 - per-flow isolation
-            report.dispatch.flows_poisoned += 1
-            report.dispatch.errors.append((flow.key, f"engine error: {exc}"))
-            return
-        alerts.extend(FlowMatch(flow.key, event) for event in events)
+    def scan(flows: list[Flow]) -> None:
+        report.n_flows += len(flows)
+        for flow, result in zip(flows, scan_isolated(engine, [f.payload for f in flows])):
+            if isinstance(result, Exception):
+                report.dispatch.flows_poisoned += 1
+                report.dispatch.errors.append((flow.key, f"engine error: {result}"))
+            else:
+                alerts.extend(FlowMatch(flow.key, event) for event in result)
 
-    def flush() -> None:
-        batch = pending[:]
-        pending.clear()
-        if not batch:
-            return
-        try:
-            batch_events = engine.run_batch([flow.payload for flow in batch])
-        except Exception:  # noqa: BLE001 - retry each flow in isolation
-            for flow in batch:
-                scan_one(flow)
-            return
-        report.n_flows += len(batch)
-        for flow, events in zip(batch, batch_events):
-            alerts.extend(FlowMatch(flow.key, event) for event in events)
-
-    def scan_flow(flow: Flow) -> None:
-        if not flow.payload:
-            return
-        if not batching:
-            scan_one(flow)
-            return
-        pending.append(flow)
-        if len(pending) >= batch_size:
-            flush()
-
-    if isinstance(capture, (str, PathLike)):
-        with open(capture, "rb") as stream:
-            return resilient_scan(engine, stream, limits, batch_size=batch_size)
-    if isinstance(capture, bytes):
-        capture = BytesIO(capture)
-    if hasattr(capture, "read"):
-        packets = read_pcap(capture, errors="skip", stats=report.pcap)
-    else:
-        packets = iter(capture)
-
-    assembler = FlowAssembler(limits=limits, on_evict=scan_flow)
-    for packet in packets:
-        report.n_packets += 1
-        assembler.add(packet)
-    report.assembler = assembler.stats
-    for flow in assembler.flows():
-        scan_flow(flow)
-    flush()
+    report.n_packets, report.assembler = ingest_flows(
+        capture, scan, limits, batch_size or 1, report.pcap
+    )
     report.n_alerts = len(alerts)
     return alerts, report

@@ -38,7 +38,6 @@ import time
 from multiprocessing import connection as mp_connection
 from collections import OrderedDict
 from dataclasses import dataclass
-from io import BytesIO
 from os import PathLike
 from typing import BinaryIO, Iterable, Sequence
 
@@ -46,11 +45,12 @@ from ..automata.dfa import DEFAULT_STATE_BUDGET
 from ..automata.nfa import MatchEvent
 from ..core.compiler import compile_mfa
 from ..core.splitter import SplitterOptions
+from ..fastcompile.shards import check_counts
 from ..fastpath.engine import PREFILTER_MODES
 from ..regex.ast import Pattern
 from ..regex.parser import ParserOptions
-from ..traffic.flows import FiveTuple, Flow, FlowAssembler, FlowLimits, FlowMatch, Packet
-from ..traffic.pcap import read_pcap
+from ..traffic.flows import FiveTuple, Flow, FlowLimits, FlowMatch, Packet
+from ..traffic.pcap import ingest_flows
 from .report import ReloadEvent, ServeReport, WorkerStats
 from .shm import ArtifactSegment, serialize_engine
 from .worker import worker_main
@@ -103,10 +103,7 @@ class ServeConfig:
     faults: bool = False
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
+        check_counts(workers=self.workers, queue_depth=self.queue_depth)
         if self.engine not in ("mfa", "fastpath"):
             raise ValueError(f"unknown serve engine {self.engine!r}")
         if self.prefilter not in PREFILTER_MODES:
@@ -166,16 +163,15 @@ class ScanDaemon:
         splitter_options: SplitterOptions | None = None,
         parser_options: ParserOptions | None = None,
         state_budget: int = DEFAULT_STATE_BUDGET,
-        engine: object | None = None,
     ) -> None:
+        check_counts(shards=shards)
         self.config = config or ServeConfig()
         self.rules = list(rules)
-        self.shards = max(1, shards)
+        self.shards = shards
         self.cache = cache
         self.splitter_options = splitter_options
         self.parser_options = parser_options
         self.state_budget = state_budget
-        self._prebuilt = engine
         self.report = ServeReport(n_workers=self.config.workers)
         self.alerts: list[FlowMatch] = []
         # Spawn, never fork: the collector and supervisor threads run while
@@ -288,11 +284,7 @@ class ScanDaemon:
     def start(self) -> "ScanDaemon":
         if self._running:
             raise RuntimeError("daemon already started")
-        if self._prebuilt is not None:
-            bundles = serialize_engine(self._prebuilt)
-            self.shards = len(bundles)
-        else:
-            bundles, _rebuilt, _cached = self._compile_bundles(self.rules)
+        bundles, _rebuilt, _cached = self._compile_bundles(self.rules)
         self._generation = 1
         self._segment = ArtifactSegment.create(bundles, self._generation)
         self._heartbeat = self._ctx.Array("d", self.config.workers, lock=False)
@@ -770,50 +762,26 @@ def serve_scan(
     """Feed one capture through a running daemon (the serving twin of
     :func:`repro.robust.pipeline.resilient_scan`).
 
-    Ingest is identical to the batch path — tolerant pcap decode, bounded
-    reassembly with scan-at-eviction — but reassembled flows are
-    dispatched to the worker pool, in batches of ``queue_depth // 2``,
-    instead of scanned inline.  Returns the daemon's accumulated alerts
-    plus its :class:`ServeReport` (which doubles as the batch
+    Ingest is the batch path's own :func:`~repro.traffic.pcap.ingest_flows`
+    — tolerant pcap decode, bounded reassembly with scan-at-eviction — but
+    each group of ``queue_depth // 2`` reassembled flows goes to the
+    worker pool as one :meth:`ScanDaemon.submit_batch` instead of being
+    scanned inline.  Returns the daemon's accumulated alerts plus its
+    :class:`ServeReport` (which doubles as the batch
     :class:`~repro.robust.report.ScanReport`).
     """
     report = daemon.report
+
+    def submit(flows: list[Flow]) -> None:
+        daemon.submit_batch([(flow.key, flow.payload) for flow in flows])
+
     batch_size = max(1, daemon.config.queue_depth // 2)
-    pending: list[tuple[FiveTuple, bytes]] = []
-
-    def flush() -> None:
-        daemon.submit_batch(pending)
-        pending.clear()
-
-    def submit_flow(flow: Flow) -> None:
-        if flow.payload:
-            pending.append((flow.key, flow.payload))
-            if len(pending) >= batch_size:
-                flush()
-
-    if isinstance(capture, (str, PathLike)):
-        with open(capture, "rb") as stream:
-            return serve_scan(daemon, stream, limits)
-    if isinstance(capture, bytes):
-        capture = BytesIO(capture)
-    if hasattr(capture, "read"):
-        packets = read_pcap(capture, errors="skip", stats=report.pcap)
-    else:
-        packets = iter(capture)
-
-    assembler = FlowAssembler(limits=limits, on_evict=submit_flow)
-    n_packets = 0
-    for packet in packets:
-        n_packets += 1
-        assembler.add(packet)
+    n_packets, stats = ingest_flows(capture, submit, limits, batch_size, report.pcap)
     with daemon._lock:
         report.n_packets += n_packets
-        report.assembler.flows_evicted += assembler.stats.flows_evicted
-        report.assembler.bytes_evicted += assembler.stats.bytes_evicted
-        report.assembler.segments_dropped += assembler.stats.segments_dropped
-        report.assembler.bytes_dropped += assembler.stats.bytes_dropped
-    for flow in assembler.flows():
-        submit_flow(flow)
-    flush()
+        report.assembler.flows_evicted += stats.flows_evicted
+        report.assembler.bytes_evicted += stats.bytes_evicted
+        report.assembler.segments_dropped += stats.segments_dropped
+        report.assembler.bytes_dropped += stats.bytes_dropped
     daemon.drain()
     return daemon.alerts, daemon.status()

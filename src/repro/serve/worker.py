@@ -25,7 +25,9 @@ Results are *atomic per batch*: a worker reports a batch only after every
 payload in it scanned, so a crash mid-batch loses only messages that were
 never sent — the supervisor re-dispatches from its own per-flow ledger
 and the aggregate stream stays exactly-once.  An exception poisons only
-the flow that raised: a failing batch is rescanned flow by flow.
+the flow that raised: the batch scans through
+:func:`repro.core.sharded.scan_isolated`, the per-flow isolation every
+capture scan shares, which rescans a failing batch flow by flow.
 
 Liveness is a heartbeat timestamp (updated between batches — never inside
 a scan, so a poison-flow infinite loop goes stale and is detected) plus
@@ -34,11 +36,11 @@ which is how the supervisor attributes a crash or hang to the batch that
 caused it (and, once it has split that batch, to the flow).
 
 Deterministic fault hooks (``faults=True`` in the config, used by the
-robustness tests and the soak driver) interpret a magic payload prefix,
-per flow, inside the batch scan: ``CRASH`` SIGKILLs the worker, ``HANG``
-spins past any heartbeat timeout, ``RAISE`` throws.  They are the
-daemon-level analogue of :mod:`repro.robust.faults` and are inert unless
-explicitly enabled.
+robustness and soak tests) wrap the engine's ``run_batch`` and
+interpret a magic payload prefix, per flow, before the batch scans:
+``CRASH`` SIGKILLs the worker, ``HANG`` spins past any heartbeat timeout,
+``RAISE`` throws.  They are the daemon-level analogue of
+:mod:`repro.robust.faults` and are inert unless explicitly enabled.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import queue as queue_module
 import signal
 import time
 
+from ..core.sharded import scan_isolated
 from .shm import ArtifactSegment
 
 __all__ = ["FAULT_PREFIX", "fault_payload", "worker_main"]
@@ -77,25 +80,25 @@ def _maybe_inject_fault(payload: bytes) -> None:
         raise RuntimeError("injected fault: poison flow")
 
 
-def _scan_isolated(engine, payloads: list[bytes], faults: bool) -> list:
-    """Per-flow ``[(pos, match_id), ...]`` events, or the error text of a
-    flow whose scan raised.
+class _FaultHooks:
+    """An engine whose ``run_batch`` first runs each payload's fault hook."""
 
-    The whole batch scans in one lockstep call; if that raises, the batch
-    is rescanned flow by flow, so only the raising flow is poisoned.
-    """
-    try:
-        if faults:
-            for payload in payloads:
-                _maybe_inject_fault(payload)
-        return [
-            [(event.pos, event.match_id) for event in events]
-            for events in engine.run_batch(payloads)
-        ]
-    except Exception as exc:  # noqa: BLE001 - per-flow isolation
-        if len(payloads) == 1:
-            return [f"{type(exc).__name__}: {exc}"]
-        return [_scan_isolated(engine, [payload], faults)[0] for payload in payloads]
+    def __init__(self, engine) -> None:
+        self.engine = engine
+
+    def run_batch(self, payloads: list[bytes]) -> list:
+        for payload in payloads:
+            _maybe_inject_fault(payload)
+        return self.engine.run_batch(payloads)
+
+
+def _load_engine(segment: ArtifactSegment, config: dict):
+    """The worker's engine over ``segment``, behind the fault hooks when
+    ``config`` arms them."""
+    engine = segment.load_engine(
+        config.get("engine", "mfa"), prefilter=config.get("prefilter", "auto")
+    )
+    return _FaultHooks(engine) if config.get("faults", False) else engine
 
 
 def worker_main(
@@ -115,13 +118,10 @@ def worker_main(
     # queues drain.  Workers exit on the in-band ("stop",) marker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    engine_kind = config.get("engine", "mfa")
-    prefilter = config.get("prefilter", "auto")
-    faults = bool(config.get("faults", False))
 
     tick = time.perf_counter()
     segment = ArtifactSegment.attach(segment_name)
-    engine = segment.load_engine(engine_kind, prefilter=prefilter)
+    engine = _load_engine(segment, config)
     load_seconds = time.perf_counter() - tick
     heartbeat[worker_id] = time.time()
     active_flow[worker_id] = -1
@@ -145,7 +145,7 @@ def worker_main(
             # views) before closing the old segment, so the close is a
             # real detach rather than a leaked mapping; the dels keep no
             # stray local alive holding buffer views.
-            engine = new_segment.load_engine(engine_kind, prefilter=prefilter)
+            engine = _load_engine(new_segment, config)
             old_segment, segment = segment, new_segment
             del new_segment
             generation = new_generation
@@ -158,7 +158,12 @@ def worker_main(
         heartbeat[worker_id] = time.time()
         active_flow[worker_id] = batch[0][0]
         tick = time.perf_counter()
-        results = _scan_isolated(engine, [payload for _, _, payload in batch], faults)
+        results = [
+            f"{type(result).__name__}: {result}"
+            if isinstance(result, Exception)
+            else [(event.pos, event.match_id) for event in result]
+            for result in scan_isolated(engine, [payload for _, _, payload in batch])
+        ]
         seconds = time.perf_counter() - tick
         active_flow[worker_id] = -1
         heartbeat[worker_id] = time.time()

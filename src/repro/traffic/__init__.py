@@ -13,7 +13,15 @@ from .flows import (
     Packet,
     dispatch_flows,
 )
-from .pcap import PcapError, PcapStats, decode_frame, encode_packet, read_pcap, write_pcap
+from .pcap import (
+    PcapError,
+    PcapStats,
+    decode_frame,
+    encode_packet,
+    ingest_flows,
+    read_pcap,
+    write_pcap,
+)
 from .replay import ReplayStats, replay
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
     "PcapStats",
     "decode_frame",
     "encode_packet",
+    "ingest_flows",
     "read_pcap",
     "write_pcap",
     "ReplayStats",

@@ -310,7 +310,6 @@ class FlowMatch:
 def dispatch_flows(
     engine,
     packets: Iterable[Packet],
-    context_factory: Callable[[], object] | None = None,
     errors: str = "raise",
     stats: DispatchStats | None = None,
 ) -> Iterator[FlowMatch]:

@@ -13,15 +13,27 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from io import BytesIO
+from os import PathLike
+from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .flows import FiveTuple, Packet, PROTO_TCP, PROTO_UDP
+from .flows import (
+    PROTO_TCP,
+    PROTO_UDP,
+    AssemblerStats,
+    FiveTuple,
+    Flow,
+    FlowAssembler,
+    FlowLimits,
+    Packet,
+)
 
 __all__ = [
     "PcapError",
     "PcapStats",
     "write_pcap",
     "read_pcap",
+    "ingest_flows",
     "encode_packet",
     "decode_frame",
 ]
@@ -266,6 +278,54 @@ def read_pcap(
     if linktype != _LINKTYPE_ETHERNET:
         raise PcapError(f"unsupported linktype {linktype}")
     yield from _walk_records(stream, max(snaplen, 65535), stats, errors == "raise")
+
+
+def ingest_flows(
+    capture: BinaryIO | bytes | str | PathLike | Iterable[Packet],
+    on_flows: Callable[[list[Flow]], None],
+    limits: FlowLimits | None = None,
+    batch_size: int = 1,
+    stats: PcapStats | None = None,
+) -> tuple[int, AssemblerStats]:
+    """Decode and reassemble a capture, handing its flows on in groups.
+
+    The ingest half of every capture scan.  ``capture`` is a path, pcap
+    bytes, an open binary stream (read with ``errors="skip"``, damage
+    counted in ``stats``) or an iterable of decoded :class:`Packet`.
+    Packets reassemble under ``limits``.  Each non-empty flow joins the
+    open group: an evicted flow when it is evicted, the others after the
+    last packet, in first-seen order.  ``on_flows`` receives each group
+    when it reaches ``batch_size`` flows, and then the last, shorter one.
+    Returns the packet count and the assembler's counters.
+    """
+    if isinstance(capture, (str, PathLike)):
+        with open(capture, "rb") as stream:
+            return ingest_flows(stream, on_flows, limits, batch_size, stats)
+    if isinstance(capture, bytes):
+        capture = BytesIO(capture)
+    if hasattr(capture, "read"):
+        packets: Iterable[Packet] = read_pcap(capture, errors="skip", stats=stats)
+    else:
+        packets = capture
+    group: list[Flow] = []
+
+    def take(flow: Flow) -> None:
+        if flow.payload:
+            group.append(flow)
+            if len(group) >= batch_size:
+                on_flows(group[:])
+                group.clear()
+
+    assembler = FlowAssembler(limits=limits, on_evict=take)
+    n_packets = 0
+    for packet in packets:
+        n_packets += 1
+        assembler.add(packet)
+    for flow in assembler.flows():
+        take(flow)
+    if group:
+        on_flows(group)
+    return n_packets, assembler.stats
 
 
 def _walk_records(

@@ -31,7 +31,7 @@ class ReplayStats:
     n_poisoned: int = 0
     n_skipped: int = 0
     n_evicted: int = 0
-    n_batches: int = 0  # feed_batch calls; 0 on the scalar path
+    n_batches: int = 0  # batches scanned: feed_batch calls, or packets fed one by one
     packet_ns: list[int] = field(default_factory=list)
     alerts: list[tuple[FiveTuple, MatchEvent]] = field(default_factory=list)
     errors: list[tuple[FiveTuple, str]] = field(default_factory=list)
@@ -104,17 +104,18 @@ def replay(
     table; opening a flow past it finishes and evicts the least-recently-
     fed context, modelling a fixed-size flow table under port-scan load.
 
-    ``batch_size`` switches to lockstep replay when the engine exposes
-    ``feed_batch`` (the fastpath engine): every ``batch_size`` packets are
-    scanned in one batch call, and a flow with several packets in a batch
-    is fed them joined into one chunk, in arrival order.  The match stream
-    is unchanged; per-packet latency becomes the batch cost shared among
-    its packets in proportion to payload bytes, and ``n_batches`` counts
-    the batch calls.  A batch is flushed early only before an eviction, so
-    no context in a batch is ever evicted.  In ``isolate`` mode a batch
-    failure poisons every flow that was in the failing batch, at most
-    ``batch_size`` flows (the batch advances flows jointly, so blame
-    cannot be pinned to one of them).
+    Packets are scanned in batches, and ``n_batches`` counts them.  When
+    the engine exposes ``feed_batch`` (the fastpath engine), every
+    ``batch_size`` packets are one lockstep call, and a flow with several
+    packets in a batch is fed them joined into one chunk, in arrival
+    order; otherwise, or without a ``batch_size`` above 1, each packet is
+    its own batch, fed through ``feed``.  The match stream is the same
+    either way.  Per-packet latency is the batch cost shared among its
+    packets in proportion to payload bytes.  A batch is flushed early only
+    before an eviction, so no context in a batch is ever evicted.  In
+    ``isolate`` mode a batch failure poisons every flow that was in the
+    failing batch, at most ``batch_size`` flows (the batch advances flows
+    jointly, so blame cannot be pinned to one of them).
     """
     if errors not in ("raise", "isolate"):
         raise ValueError(f"errors must be 'raise' or 'isolate', not {errors!r}")
@@ -125,7 +126,17 @@ def replay(
     contexts: dict[FiveTuple, object] = {}
     poisoned: set[FiveTuple] = set()
     seen: set[FiveTuple] = set()
+    pending: dict[FiveTuple, list[bytes]] = {}  # flow -> its packets' payloads
+    sizes: list[int] = []  # payload length of every pending packet
     perf = time.perf_counter_ns
+
+    def feed_one(batch_contexts: list, chunks: list[bytes]) -> list:
+        return [list(engine.feed(batch_contexts[0], chunks[0]))]
+
+    feed_batch = getattr(engine, "feed_batch", None)
+    if feed_batch is None or batch_size is None or batch_size < 2:
+        feed_batch, batch_size = feed_one, 1
+    failure = "engine error in batch" if batch_size > 1 else "engine error"
 
     def drain(key: FiveTuple, context: object) -> None:
         try:
@@ -141,79 +152,6 @@ def replay(
             if collect_alerts:
                 stats.alerts.append((key, event))
 
-    if batch_size is not None and batch_size > 1 and hasattr(engine, "feed_batch"):
-        return _replay_batched(
-            engine, packets, stats, contexts, poisoned, seen,
-            drain, collect_alerts, isolate, max_flows, batch_size,
-        )
-
-    for packet in packets:
-        if not packet.payload:
-            continue
-        key = packet.key
-        if key in poisoned:
-            stats.n_skipped += 1
-            continue
-        context = contexts.pop(key, None)
-        if context is None:
-            if max_flows is not None and len(contexts) >= max_flows:
-                victim, victim_context = next(iter(contexts.items()))
-                del contexts[victim]
-                drain(victim, victim_context)
-                stats.n_evicted += 1
-            context = engine.new_context()
-            seen.add(key)
-        # Re-insert so dict order is feed recency (LRU eviction order).
-        contexts[key] = context
-        start = perf()
-        try:
-            events = list(engine.feed(context, packet.payload))
-        except Exception as exc:  # noqa: BLE001
-            if not isolate:
-                raise
-            poisoned.add(key)
-            del contexts[key]
-            stats.n_poisoned += 1
-            stats.errors.append((key, f"engine error: {exc}"))
-            continue
-        elapsed = perf() - start
-        stats.n_packets += 1
-        stats.total_payload += len(packet.payload)
-        stats.packet_ns.append(elapsed)
-        if events:
-            stats.n_alerts += len(events)
-            if collect_alerts:
-                stats.alerts.extend((key, event) for event in events)
-    for key, context in contexts.items():
-        drain(key, context)
-    stats.n_flows = len(seen)
-    return stats
-
-
-def _replay_batched(
-    engine,
-    packets: Iterable[Packet],
-    stats: ReplayStats,
-    contexts: dict,
-    poisoned: set,
-    seen: set,
-    drain,
-    collect_alerts: bool,
-    isolate: bool,
-    max_flows: int | None,
-    batch_size: int,
-) -> ReplayStats:
-    """Lockstep replay loop: pack ``batch_size`` packets, flush as one batch.
-
-    A flow's packets in the open batch are joined into one chunk, in
-    arrival order.  The context offset keeps event positions flow-absolute,
-    so one feed of the joined chunk yields the same events and final
-    context as feeding its packets one by one.
-    """
-    perf = time.perf_counter_ns
-    pending: dict[FiveTuple, list[bytes]] = {}  # flow -> its packets' payloads
-    sizes: list[int] = []  # payload length of every pending packet
-
     def flush() -> None:
         if not sizes:
             return
@@ -221,7 +159,7 @@ def _replay_batched(
         stats.n_batches += 1
         start = perf()
         try:
-            batch_events = engine.feed_batch(
+            batch_events = feed_batch(
                 [contexts[key] for key in keys],
                 [b"".join(pieces) for pieces in pending.values()],
             )
@@ -235,7 +173,7 @@ def _replay_batched(
                 poisoned.add(key)
                 del contexts[key]
                 stats.n_poisoned += 1
-                stats.errors.append((key, f"engine error in batch: {exc}"))
+                stats.errors.append((key, f"{failure}: {exc}"))
         else:
             elapsed = perf() - start
             batch_bytes = sum(sizes)
@@ -268,6 +206,7 @@ def _replay_batched(
                     stats.n_evicted += 1
             context = engine.new_context()
             seen.add(key)
+        # Re-insert so dict order is feed recency (LRU eviction order).
         contexts[key] = context
         pending.setdefault(key, []).append(packet.payload)
         sizes.append(len(packet.payload))

@@ -5,6 +5,21 @@ import pytest
 from repro.bench.cli import main
 
 
+def reordered_capture(directory):
+    """A two-segment flow whose second segment arrives first; reassembled,
+    it carries C8's first rule across the segment boundary."""
+    from repro.traffic import FiveTuple, Packet, write_pcap
+    from repro.traffic.flows import PROTO_TCP
+
+    key = FiveTuple(PROTO_TCP, "10.0.0.1", 2000, "192.168.0.1", 80)
+    head = b"GET /cgi-bin/a"
+    pcap = directory / "reordered.pcap"
+    with open(pcap, "wb") as stream:
+        tail = Packet(key=key, payload=b"/../", seq=len(head))
+        write_pcap(stream, [tail, Packet(key=key, payload=head, seq=0)])
+    return pcap
+
+
 class TestCli:
     def test_compile_small_set(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
@@ -73,22 +88,29 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("engine", ["mfa", "fastpath"])
     def test_scan_reassembles_a_reordered_capture(self, capsys, monkeypatch, tmp_path, engine):
-        # The second segment arrives first; the reassembled flow carries
-        # C8's first rule across the segment boundary.
-        from repro.traffic import FiveTuple, Packet, write_pcap
-        from repro.traffic.flows import PROTO_TCP
-
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        key = FiveTuple(PROTO_TCP, "10.0.0.1", 2000, "192.168.0.1", 80)
-        head = b"GET /cgi-bin/a"
-        pcap = tmp_path / "reordered.pcap"
-        with open(pcap, "wb") as stream:
-            tail = Packet(key=key, payload=b"/../", seq=len(head))
-            write_pcap(stream, [tail, Packet(key=key, payload=head, seq=0)])
+        pcap = reordered_capture(tmp_path)
         assert main(["scan", "C8", str(pcap), "--engine", engine]) == 0
         out = capsys.readouterr().out
         assert "2 packets decoded" in out
         assert "1 alerts across 1 flows" in out
+
+    @pytest.mark.parametrize("engine", ["mfa", "fastpath"])
+    def test_rscan_reassembles_a_reordered_capture(self, capsys, monkeypatch, tmp_path, engine):
+        import repro.bench.harness as harness
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+        pcap = reordered_capture(tmp_path)
+        harness.build_resilient.cache_clear()
+        try:
+            assert main(["rscan", "C8", str(pcap), "--engine", engine]) == 0
+        finally:
+            harness.build_resilient.cache_clear()
+        out = capsys.readouterr().out
+        assert "engine: mfa" in out
+        assert "packets: 2, flows: 1, alerts: 1" in out
+        assert "clean scan: nothing dropped" in out
 
 
 class TestCompressFlag:
@@ -138,6 +160,19 @@ class TestCompressFlag:
 
 
 class TestServeCommand:
+    @pytest.mark.parametrize("flag", ["--shards", "--workers"])
+    def test_serve_rejects_a_count_below_one(self, capsys, monkeypatch, flag):
+        import repro.serve as serve
+
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("started a daemon with a bad count")
+
+        monkeypatch.setattr(serve, "ScanDaemon", no_daemon)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "C8", "--oneshot", flag, "0"])
+        assert exc.value.code == 2
+        assert "serve needs --shards and --workers of at least 1" in capsys.readouterr().err
+
     def test_daemon_uses_the_default_artifact_cache(self, monkeypatch, tmp_path):
         # Like rcompile/rscan, the daemon compiles through the default cache,
         # so a control-socket reload rebuilds only the changed shard;

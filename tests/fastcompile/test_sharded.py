@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile_mfa
+from repro.core.sharded import scan_isolated
 from repro.fastcompile import ShardedMFA, partition_patterns
 from repro.fastpath import build_fastpath
 from repro.patterns import ruleset
@@ -55,6 +56,63 @@ class TestPartition:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             partition_patterns(parse_many(["a"]), 0)
+
+
+class _Marked:
+    """An engine whose scans raise on a payload holding ``marker``; it has
+    ``run_batch`` only when ``batched``, and records every call."""
+
+    def __init__(self, inner, marker, batched):
+        self.inner = inner
+        self.marker = marker
+        self.calls = []
+        if batched:
+            self.run_batch = self._run_batch
+
+    def run(self, payload):
+        self.calls.append(("run", payload))
+        if self.marker in payload:
+            raise RuntimeError("marked payload")
+        return self.inner.run(payload)
+
+    def _run_batch(self, payloads):
+        self.calls.append(("run_batch", len(payloads)))
+        if any(self.marker in payload for payload in payloads):
+            raise RuntimeError("marked batch")
+        return [self.inner.run(payload) for payload in payloads]
+
+
+class TestScanIsolated:
+    MARKED = b"BOOM"
+
+    def payloads(self):
+        return [PAYLOADS[1], b"BOOM" + PAYLOADS[3], PAYLOADS[3], PAYLOADS[0]]
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["run_batch", "run"])
+    def test_exception_stays_in_its_payloads_slot(self, single, batched):
+        engine = _Marked(single, self.MARKED, batched)
+        results = scan_isolated(engine, self.payloads())
+        assert isinstance(results[1], RuntimeError)
+        for index in (0, 2, 3):
+            assert sorted(results[index]) == canonical(single, self.payloads()[index])
+        if batched:
+            # One batch, then each payload alone; the marked one raises.
+            assert [call[1] for call in engine.calls] == [4, 1, 1, 1, 1]
+
+    def test_engine_without_run_batch_is_scanned_with_run(self, single):
+        engine = _Marked(single, self.MARKED, batched=False)
+        payloads = [PAYLOADS[1], PAYLOADS[3]]
+        results = scan_isolated(engine, payloads)
+        assert [sorted(events) for events in results] == [
+            canonical(single, payload) for payload in payloads
+        ]
+        assert engine.calls == [("run", payload) for payload in payloads]
+
+    def test_a_failing_single_payload_is_not_rescanned(self, single):
+        engine = _Marked(single, self.MARKED, batched=True)
+        (result,) = scan_isolated(engine, [b"BOOM"])
+        assert str(result) == "marked batch"
+        assert engine.calls == [("run_batch", 1)]
 
 
 class TestStreamFidelity:

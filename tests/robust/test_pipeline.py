@@ -179,6 +179,18 @@ class _Tripwire:
         return self.inner.run(payload)
 
 
+class _BatchTripwire(_Tripwire):
+    """A tripwire with a batch entry point; records each batch's size."""
+
+    def __init__(self, inner, marker):
+        super().__init__(inner, marker)
+        self.batches = []
+
+    def run_batch(self, payloads):
+        self.batches.append(len(payloads))
+        return [self.run(payload) for payload in payloads]
+
+
 class TestResilientScan:
     RULES = [".*alpha.*omega"]
 
@@ -242,6 +254,23 @@ class TestResilientScan:
         assert sorted(alerts, key=repr) == sorted(
             [a for a in clean_alerts if a.key != key(2)], key=repr
         )
+
+    def test_failing_batch_is_rescanned_flow_by_flow(self):
+        engine = _BatchTripwire(compile_mfa(self.RULES), marker=b"never the end")
+        alerts, report = resilient_scan(engine, self.blob(), batch_size=4)
+        # Flows 0-3 fail as one batch (flow 2 trips), are rescanned alone,
+        # and flows 4-5 make the last, shorter batch.
+        assert engine.batches == [4, 1, 1, 1, 1, 2]
+        assert report.n_flows == 6
+        assert report.dispatch.flows_poisoned == 1
+        (poisoned_key, reason), = report.dispatch.errors
+        assert poisoned_key == key(2)
+        assert reason == "engine error: tripwire payload"
+        clean_alerts, _ = resilient_scan(compile_mfa(self.RULES), self.blob())
+        assert sorted(alerts, key=repr) == sorted(
+            [a for a in clean_alerts if a.key != key(2)], key=repr
+        )
+        assert len(alerts) == 3
 
     def test_eviction_scans_rather_than_drops(self):
         mfa = compile_mfa(self.RULES)
@@ -323,6 +352,26 @@ class TestEndToEndDegradation:
 
 
 class TestCompilerConfiguration:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ResilientCompiler(shards=0), "shards must be >= 1, got 0"),
+            (lambda: ResilientCompiler(jobs=-1), "jobs must be >= 1, got -1"),
+            (lambda: compile_resilient(["abc", "x.*y"], jobs=-1), "jobs must be >= 1, got -1"),
+            (lambda: compile_resilient(["abc", "x.*y"], shards=0), "shards must be >= 1, got 0"),
+        ],
+        ids=["compiler-shards", "compiler-jobs", "compile_resilient-jobs", "compile_resilient-shards"],
+    )
+    def test_bad_counts_raise_before_compiling(self, monkeypatch, build, message):
+        import repro.robust.pipeline as pipeline
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled with a bad shard or job count")
+
+        monkeypatch.setattr(pipeline, "compile_shards", no_compile)
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_default_limits_used(self):
         compiler = ResilientCompiler()
         assert compiler.limits == CompileLimits()

@@ -216,6 +216,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ServeConfig(engine="warp-drive")
 
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_bad_shard_count_refused_before_compiling(self, monkeypatch, shards):
+        import repro.serve.daemon as daemon_module
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled a daemon with a bad shard count")
+
+        monkeypatch.setattr(daemon_module, "compile_mfa", no_compile)
+        with pytest.raises(ValueError, match=f"shards must be >= 1, got {shards}"):
+            ScanDaemon(RULES, shards=shards)
+
     def test_double_start_refused(self):
         d = ScanDaemon(RULES, config=ServeConfig(workers=1)).start()
         try:

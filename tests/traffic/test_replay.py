@@ -174,10 +174,16 @@ class TestReplayArguments:
         with pytest.raises(ValueError, match="max_flows"):
             replay(engine, packets(), max_flows=max_flows, batch_size=4)
 
-    def test_scalar_path_counts_no_batches(self):
-        stats = replay(compile_mfa(["x"]), packets())
-        assert stats.n_batches == 0
-        assert not any("packets/batch" in line for line in stats.describe())
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_one_packet_per_batch_without_feed_batch(self, batch_size):
+        mfa = compile_mfa([".*alpha.*omega", ".*noth"])
+        stats = replay(mfa, packets(), batch_size=batch_size)
+        assert stats.n_batches == stats.n_packets == 3
+        assert "batches: 3 (1.0 packets/batch)" in stats.describe()
+        batched = replay(build_fastpath(mfa), packets(), batch_size=4)
+        assert batched.n_batches == 1
+        assert per_flow(stats) == per_flow(batched)
+        assert stats.n_alerts == 2
 
 
 # -- lockstep (batched) replay ---------------------------------------------------
