@@ -6,6 +6,13 @@ attack density — ordinary telnet/SMTP/HTTP traffic) with the scalar
 both, and checks fidelity: the fastpath confirmed-match stream must be
 byte-identical to the scalar one on an attack-carrying trace as well.
 
+The small-flow row scans one batch of 64 short flows of the same mix
+(``build_benign_flows(64, 440)``: at least 440 B each, 1.35 KB mean), a
+64-flow batch like perfbench's ``ll1-clean`` ones, where the engine's
+fixed cost per batch dominates: the same scalar-vs-``run_batch``
+comparison and fidelity check, gated by a floor on its speedup
+(``SMALL_FLOW_FLOOR``).
+
 The streaming row cuts the same flows into 1400-B packets, each flow's
 packets back to back, and replays them packet by packet: with the scalar
 MFA (``replay(mfa, ...)``) and in lockstep batches of
@@ -28,10 +35,11 @@ Run directly (CI does)::
 
     python benchmarks/bench_fastpath.py --quick
 
-Exits non-zero if the fastpath engine or ingest fails fidelity, or if
+Exits non-zero if the fastpath engine or ingest fails fidelity, if
 either the fastpath batch scan or the batched replay is *slower* than
-its scalar counterpart — a regression guard, not a tuning target; see
-docs/performance.md for the expected margins.
+its scalar counterpart, or if the small-flow speedup falls below its
+floor — regression guards, not tuning targets; see docs/performance.md
+for the expected margins.
 """
 
 from __future__ import annotations
@@ -39,6 +47,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+
+# The small-flow row's batch, and its floor on the run_batch/scalar
+# speedup: context-free whole flows measured 6.3-9.9x on C8 in --quick
+# runs on a 2-vCPU VM (5.8-7.1x before), and the floor sits below that
+# machine's slow-state swings.
+SMALL_FLOWS = 64
+SMALL_FLOW_BYTES = 440
+SMALL_FLOW_FLOOR = 4.0
 
 
 def build_benign_flows(n_flows: int, flow_bytes: int) -> list[bytes]:
@@ -100,6 +116,37 @@ def fastpath_mb_s(engine, flows: list[bytes], best_of: int) -> float:
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return total / best / 1e6
+
+
+def small_flow_row(mfa, engine, best_of: int) -> dict:
+    """One batch of short flows: ``run_batch`` against the scalar loop,
+    with the flows whose event lists differ between the two.  The two are
+    timed in turn, so a machine-speed swing hits both sides alike."""
+    flows = build_benign_flows(SMALL_FLOWS, SMALL_FLOW_BYTES)
+    got = engine.run_batch(flows)
+    diffs = sum(1 for payload, events in zip(flows, got) if events != mfa.run(payload))
+    scalar_s = fast_s = float("inf")
+    for _ in range(best_of):
+        start = time.perf_counter()
+        for payload in flows:
+            mfa.run(payload)
+        middle = time.perf_counter()
+        engine.run_batch(flows)
+        stop = time.perf_counter()
+        scalar_s = min(scalar_s, middle - start)
+        fast_s = min(fast_s, stop - middle)
+    total = sum(map(len, flows))
+    scalar, fast = total / scalar_s / 1e6, total / fast_s / 1e6
+    return {
+        "flows": len(flows),
+        "total_bytes": total,
+        "scalar_mb_s": round(scalar, 3),
+        "fastpath_mb_s": round(fast, 3),
+        "speedup": round(fast / scalar, 2),
+        "floor": SMALL_FLOW_FLOOR,
+        "best_of": best_of,
+        "stream_diffs": diffs,
+    }
 
 
 def flow_packets(flows: list[bytes]) -> list:
@@ -259,6 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     scalar = scalar_mb_s(mfa, benign, best_of)
     fast = fastpath_mb_s(engine, benign, best_of)
     speedup = fast / scalar if scalar else 0.0
+    small = small_flow_row(mfa, engine, 40 if args.quick else 100)
+    diffs += small["stream_diffs"]
 
     # Streaming: the same flows as back-to-back packets, replayed with the
     # scalar MFA and in lockstep batches of ``batch_hint`` packets.  The
@@ -285,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         "scalar_mb_s": round(scalar, 3),
         "fastpath_mb_s": round(fast, 3),
         "speedup": round(speedup, 2),
+        "small_flows": small,
         "replay": {
             "packets": len(packets),
             "batch_size": batch,
@@ -313,6 +363,11 @@ def main(argv: list[str] | None = None) -> int:
         f"in {batched_stats.n_batches} batches); {events} events, {diffs} stream "
         f"diffs [cache {'hit' if cache_hit else 'miss'} {compile_seconds:.2f}s] -> {out}"
     )
+    print(
+        f"small flows: {small['flows']} flows, {small['total_bytes']} B, scalar "
+        f"{small['scalar_mb_s']:.2f} MB/s, fastpath {small['fastpath_mb_s']:.2f} MB/s "
+        f"({small['speedup']:.1f}x, floor {SMALL_FLOW_FLOOR:.1f}x)"
+    )
     for name in ("in_order", "reordered"):
         layer = ingest[name]
         print(
@@ -332,6 +387,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if replay_fast < replay_scalar:
         print("FAIL: batched replay slower than the scalar replay", file=sys.stderr)
+        return 1
+    if small["speedup"] < SMALL_FLOW_FLOOR:
+        print(
+            f"FAIL: small-flow fastpath speedup {small['speedup']:.2f}x is below "
+            f"its {SMALL_FLOW_FLOOR:.1f}x floor",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -13,6 +13,9 @@ decoupling is what makes the data-parallel layout work:
    whole-matrix comparisons, and only those sparse positions run the scalar
    filter ops, threading each flow's filter memory in payload order —
    byte-identical to the scalar ``MFA.feed`` stream (property-tested).
+   A whole flow's memory starts at zero and is read only by a test, a
+   report, a register action or an end-anchored decision, so
+   ``run_batch`` replays only the flows that reach one.
 
 Lanes are not just flows.  Each flow's payload is cut into fixed-size
 segments and every segment gets its own lane; segments after the first
@@ -41,8 +44,9 @@ Several table-layout tricks keep the per-byte numpy overhead down:
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from math import sqrt
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as _np
 
@@ -97,6 +101,33 @@ def _apply_ops(ops, memory, absolute: int, engine_process, append) -> None:
             append(MatchEvent(absolute, report))
 
 
+class _Walk(NamedTuple):
+    """One batch walk, in the layout the filter phase reads.
+
+    ``hist`` holds renumbered, premultiplied states: one row per lockstep
+    step, one column per lane (lane walk) or candidate window
+    (prefiltered walk).  Column ``c`` records rows ``[lo[c], hi[c])``
+    (from row 0 when ``lo`` is None), and its row ``t`` is byte
+    ``off[c] + t`` of flow ``flow[c]``; ``key[c] + t`` puts every recorded
+    cell of the batch in payload order, flow by flow.  Mask-pair runs
+    collapse only within one ``run`` (one flow when ``run`` is None).
+    ``finals`` holds each flow's final DFA state (original ids; an empty
+    flow keeps its entering state), and ``gaps`` builds the prefiltered
+    walk's gap clear summaries.
+    """
+
+    hist: _np.ndarray
+    lo: Optional[_np.ndarray]
+    hi: _np.ndarray
+    key: _np.ndarray
+    off: _np.ndarray
+    flow: _np.ndarray
+    run: Optional[_np.ndarray]
+    lengths: _np.ndarray
+    finals: list[int]
+    gaps: Optional[Callable]
+
+
 class FastPathMFA:
     """A batch scan engine over a compiled :class:`~repro.core.mfa.MFA`.
 
@@ -106,9 +137,7 @@ class FastPathMFA:
     scalar and batch processing of the same flow can be freely mixed.
 
     ``segment_bytes`` pins the lane segment length (mostly for tests);
-    by default it is sized per batch from the total payload.  Without
-    numpy every batch call degrades to the scalar engine, semantics
-    unchanged.
+    by default it is sized per batch from the total payload.
 
     ``prefilter`` selects the required-literal prefilter stage: ``"auto"``
     (the default) uses the compiled plan when one exists (building it
@@ -203,8 +232,13 @@ class FastPathMFA:
         n_mask = int((tier == 1).sum())
         self._thr_any = n_plain * ncols  # premultiplied ids >= this accept
         self._thr_full = (n_plain + n_mask) * ncols  # >= this: non-idempotent ops
+        self._perm_a = perm_p
         self._perm_p = perm_p.tolist()
+        self._inv_a = order
         self._inv = order.tolist()  # renumbered -> original
+        # Original states whose end-anchored decisions ``finish`` runs.
+        ends = _np.fromiter(map(bool, dfa.accepts_end), dtype=bool, count=n)
+        self._end_q = ends if ends.any() else None
         self._ops_by_rid = [ops_table[q] for q in self._inv]
         self._start_p = int(perm[dfa.start]) * ncols
         # byte -> group id as a str.translate table: C-speed payload
@@ -220,10 +254,9 @@ class FastPathMFA:
             self._scratch_key = (segment, m)
             self._cols = _np.empty((segment, m), dtype=dtype)
             self._hist = _np.empty((segment, m), dtype=dtype)
-            self._mask = _np.empty((segment, m), dtype=bool)
             self._idx = _np.empty(m, dtype=dtype)
             self._state_buf = _np.empty(m, dtype=dtype)
-        return self._cols, self._hist, self._mask, self._idx, self._state_buf
+        return self._cols, self._hist, self._idx, self._state_buf
 
     # -- introspection -------------------------------------------------------
 
@@ -259,12 +292,16 @@ class FastPathMFA:
         return self.run_batch([data])[0]
 
     def run_batch(self, payloads: Sequence[bytes]) -> list[list[MatchEvent]]:
-        """Match N complete payloads; returns one confirmed-event list each."""
-        contexts = [self.new_context() for _ in payloads]
-        results = self.feed_batch(contexts, payloads)
-        for context, events in zip(contexts, results):
-            events.extend(self.finish(context))
-        return results
+        """Match N complete payloads; returns one confirmed-event list each.
+
+        Whole flows build no contexts: every flow starts from the start
+        state at offset 0 with a zero bit plane.  Only a flow with a
+        full-op hit (a test, a report or a register action), or whose final
+        state carries end-anchored decisions, gets a ``FlowContext``, a
+        replay of its hits and a ``finish``; in any other flow no filter op
+        can reach an output.
+        """
+        return self._scan(payloads, None)
 
     def feed_batch(
         self, contexts: Sequence[FlowContext], payloads: Sequence[bytes]
@@ -276,18 +313,32 @@ class FastPathMFA:
         """
         if len(contexts) != len(payloads):
             raise ValueError("contexts and payloads must pair up")
-        total = sum(len(p) for p in payloads)
-        if not self._vector_ready or total == 0:
-            return self._feed_scalar(contexts, payloads)
-        if self._prefilter_runtime is not None:
-            results = self._feed_prefiltered(contexts, payloads, total)
-            if results is not None:
-                return results
-        return self._feed_lockstep(contexts, payloads, total)
+        return self._scan(payloads, contexts)
 
-    def _feed_lockstep(
-        self, contexts: Sequence[FlowContext], payloads: Sequence[bytes], total: int
+    def _scan(
+        self, payloads: Sequence[bytes], contexts: Sequence[FlowContext] | None
     ) -> list[list[MatchEvent]]:
+        """Both batch entry points: one walk, then the filter phase.
+
+        ``contexts`` is None for whole fresh flows.  A prefiltered batch
+        whose windows are too dense goes from its one skim straight to the
+        lane walk.
+        """
+        total = sum(map(len, payloads))
+        if not self._vector_ready or total == 0:
+            if contexts is None:
+                return self.mfa.run_batch(payloads)
+            return self._feed_scalar(contexts, payloads)
+        walk = None
+        if self._prefilter_runtime is not None:
+            walk = self._walk_windows(payloads, contexts, total)
+        if walk is None:
+            walk = self._walk_lanes(payloads, contexts, total)
+        return self._filter(payloads, contexts, walk)
+
+    def _walk_lanes(
+        self, payloads: Sequence[bytes], contexts: Sequence[FlowContext] | None, total: int
+    ) -> _Walk:
         """The classic every-byte lockstep walk (also the density fallback)."""
         segment = self.segment_bytes
         if segment is None:
@@ -317,16 +368,23 @@ class FastPathMFA:
 
         # Payload bytes -> table columns (C-speed bytes.translate), laid out
         # transposed so each lockstep position reads one contiguous row.
-        cols, hist, mask, idx, states = self._scratch(segment, m)
+        cols, hist, idx, states = self._scratch(segment, m)
         if self._translate is not None:
             buf = buf.translate(self._translate)
         _np.copyto(cols, _np.frombuffer(buf, dtype=_np.uint8).reshape(m, segment).T)
 
+        # Every lane starts speculatively from the start state; lane 0 of a
+        # flow that carries a context starts from the flow's true state.
         perm_p = self._perm_p
         states.fill(self._start_p)
-        for f in range(n_flows):
-            if n_lanes_per[f]:  # lane 0 starts from the flow's true state
-                states[starts[f]] = perm_p[contexts[f].state]
+        if contexts is None:
+            entering = [self.mfa.dfa.start] * n_flows
+        else:
+            entering = [context.state for context in contexts]
+            has_lanes = n_lanes_per > 0
+            states[starts[:-1][has_lanes]] = self._perm_a.take(
+                _np.array(entering, dtype=_np.int64)[has_lanes]
+            )
 
         # -- lockstep phase: one flat gather per position across every lane.
         flat = self._flat
@@ -344,12 +402,13 @@ class FastPathMFA:
         ncols = self._ncols
         inv = self._inv
         lane_len = lane_len_arr.tolist()
-        finals: list[int] = [0] * n_flows
+        lane_starts = starts.tolist()
+        finals = list(entering)
         for f in range(n_flows):
-            first, last = int(starts[f]), int(starts[f + 1])
+            first, last = lane_starts[f], lane_starts[f + 1]
             if first == last:
                 continue
-            state = contexts[f].state  # original ids
+            state = entering[f]  # original ids
             payload = payloads[f]
             for lane in range(first, last):
                 if lane > first and perm_p[state] != start_p:
@@ -369,77 +428,20 @@ class FastPathMFA:
                 state = inv[ends[lane] // ncols]
             finals[f] = state
 
-        # -- filter phase: sparse accepting positions through the scalar ops.
-        results: list[list[MatchEvent]] = [[] for _ in payloads]
-        if self._thr_any < self.n_states * ncols:  # some state has ops
-            _np.greater_equal(hist, self._thr_any, out=mask)
-            hot_pos, hot_lane = _np.nonzero(mask)
-            if hot_pos.size:
-                # Padded tail bytes can wander into accepting states; they
-                # are not part of any flow, so drop them before collapsing.
-                valid = hot_pos < lane_len_arr[hot_lane]
-                if not valid.all():
-                    hot_pos = hot_pos[valid]
-                    hot_lane = hot_lane[valid]
-            if hot_pos.size:
-                # nonzero() walks position-major; reorder to per-flow payload
-                # order (lane-major) so ops replay exactly as the scalar feed.
-                order = _np.argsort(hot_lane * segment + hot_pos)
-                hot_pos = hot_pos[order]
-                hot_lane = hot_lane[order]
-                sids = hist[hot_pos, hot_lane]
-                flows = lane_flow[hot_lane]
-                # Run-collapse: a mask-pair op is idempotent, so a hit whose
-                # immediate predecessor (same flow, payload order) is the
-                # same state is a no-op and never reaches the Python loop.
-                keep = _np.empty(hot_lane.size, dtype=bool)
-                keep[0] = True
-                _np.not_equal(sids[1:], sids[:-1], out=keep[1:])
-                keep[1:] |= sids[1:] >= self._thr_full
-                keep[1:] |= flows[1:] != flows[:-1]
-                offs = lane_off[hot_lane] + hot_pos
-                flows_l = flows[keep].tolist()
-                offs_l = offs[keep].tolist()
-                sids_l = sids[keep].tolist()
-                ops_by_rid = self._ops_by_rid
-                engine_process = self.mfa.engine.process
-                thr_full = self._thr_full
-                current = -1
-                memory = None
-                bits = 0
-                base = 0
-                append = None
-                for f, off, sid in zip(flows_l, offs_l, sids_l):
-                    if f != current:
-                        if memory is not None:
-                            memory.bits = bits
-                        current = f
-                        memory = contexts[f].memory
-                        bits = memory.bits
-                        base = contexts[f].offset
-                        append = results[f].append
-                    ops = ops_by_rid[sid // ncols]
-                    if sid < thr_full:  # mask pair, inlined for the hot case
-                        bits = bits & ops[1] | ops[0]
-                    else:
-                        memory.bits = bits
-                        _apply_ops(ops, memory, base + off, engine_process, append)
-                        bits = memory.bits
-                if memory is not None:
-                    memory.bits = bits
-
-        for f, context in enumerate(contexts):
-            if n_lanes_per[f]:
-                context.state = finals[f]
-            context.offset += len(payloads[f])
-        return results
+        # Lane ``l`` holds padded-buffer bytes ``l * segment`` onwards, so
+        # that key orders its cells flow by flow; padded tail bytes can
+        # wander into accepting states, so only ``lane_len`` rows count.
+        return _Walk(
+            hist, None, lane_len_arr, _np.arange(0, m * segment, segment),
+            lane_off, lane_flow, None, lengths, finals, None,
+        )
 
     # -- prefiltered path ----------------------------------------------------
 
-    def _feed_prefiltered(
-        self, contexts: Sequence[FlowContext], payloads: Sequence[bytes], total: int
-    ) -> list[list[MatchEvent]] | None:
-        """Scan only candidate windows; ``None`` defers to the classic walk.
+    def _walk_windows(
+        self, payloads: Sequence[bytes], contexts: Sequence[FlowContext] | None, total: int
+    ) -> _Walk | None:
+        """Walk only candidate windows; ``None`` defers to the lane walk.
 
         Stage one scans the concatenated batch buffer for required-chain
         occurrences and clear-spec fires (all whole-buffer numpy table
@@ -448,9 +450,8 @@ class FastPathMFA:
         small horizon prefix (chunk-boundary-straddling occurrences), the
         anchored head, and the last byte (exact final state).  Stage three
         walks one warm-started lane per interval in lockstep, lanes sorted
-        by length so dead lanes compact off the active prefix, then
-        replays the sparse accepting positions through the scalar filter
-        ops with gap clear summaries applied between windows.
+        by length so dead lanes compact off the active prefix.  The filter
+        phase then applies gap clear summaries between windows.
         """
         runtime = self._prefilter_runtime
         assert runtime is not None
@@ -496,16 +497,16 @@ class FastPathMFA:
         # range) and a tail span (the last byte: exact final state).
         horizon = runtime.horizon
         a_max = runtime.a_max
-        perm_p = self._perm_p
         nz = _np.flatnonzero(lengths)
-        head_hi = _np.full(nz.size, horizon - 1, dtype=_np.int64)
-        if a_max:
+        # A whole flow starts at offset 0, so its anchored head is a_max long.
+        head_hi = _np.full(nz.size, max(horizon, a_max) - 1, dtype=_np.int64)
+        if a_max and contexts is not None:
             offs = _np.fromiter(
                 (contexts[f].offset for f in nz.tolist()),
                 dtype=_np.int64,
                 count=nz.size,
             )
-            _np.maximum(head_hi, a_max - 1 - offs, out=head_hi)
+            _np.maximum(horizon - 1, a_max - 1 - offs, out=head_hi)
         _np.minimum(head_hi, lengths[nz] - 1, out=head_hi)
         tail_lo = lengths[nz] - 1
         all_flow = _np.concatenate((nz, flow_of, nz))
@@ -553,35 +554,42 @@ class FastPathMFA:
         first_of = _np.empty(n_win, dtype=bool)
         first_of[0] = True
         _np.not_equal(w_flow[1:], w_flow[:-1], out=first_of[1:])
-        entering = _np.fromiter(
-            (perm_p[c.state] for c in contexts), dtype=_np.int64, count=n_flows
-        )
-        win_init = _np.where(first_of, entering.take(w_flow), self._start_p)
         flow_last = _np.full(n_flows, -1, dtype=_np.int64)
         flow_last[w_flow] = _np.arange(n_win, dtype=_np.int64)
-        gap_win = _np.flatnonzero(~first_of)  # windows preceded by a gap
 
         # Lockstep walk over the windows, longest first: the active lane
         # set is always the prefix [:n_active], so lanes compact away as
-        # they die and each step gathers only live lanes.
+        # they die and each step gathers only live lanes.  Every window of
+        # a whole flow, and every non-first window, warm-starts from the
+        # start state; a flow's first window enters with its context's.
         dtype = self._dtype
         sort_order = _np.argsort(-win_len, kind="stable")
         wlen_s = win_len.take(sort_order)
         wstart_s = win_start.take(sort_order)
-        rec_s = win_rec.take(sort_order)
         steps = _np.arange(max_len, dtype=_np.int64)
         n_active = _np.searchsorted(-wlen_s, -steps, side="left")
+        if contexts is None:
+            finals = _np.full(n_flows, self.mfa.dfa.start, dtype=_np.int64)
+            prev = _np.full(n_win, self._start_p, dtype=dtype)
+        else:
+            finals = _np.fromiter(
+                (context.state for context in contexts), dtype=_np.int64, count=n_flows
+            )
+            win_init = _np.where(
+                first_of, self._perm_a.take(finals.take(w_flow)), self._start_p
+            )
+            prev = win_init.take(sort_order).astype(dtype)
         # Window bytes as one (max_len, n_win) block gathered straight from
         # the raw buffer — windows cover a few percent of the batch, so
         # per-window gathers beat a whole-buffer translate pass.  Positions
-        # past a window's end clip to the buffer tail; those cells are
-        # masked out of accept detection below and never read otherwise.
+        # past a window's end clip to the buffer tail; the walk never
+        # writes those cells, and zeroing them keeps stale memory from
+        # posing as accepts before the record ranges are applied.
         wbytes = buf.take(wstart_s[None, :] + steps[:, None], mode="clip")
         cols2d = self._byte_map.take(wbytes)
-        hist = _np.empty((max_len, n_win), dtype=dtype)
+        hist = _np.zeros((max_len, n_win), dtype=dtype)
         flat = self._flat
         na_list = n_active.tolist()
-        prev = win_init.take(sort_order).astype(dtype)
         for t in range(max_len):
             na = na_list[t]
             row = hist[t]
@@ -590,107 +598,179 @@ class FastPathMFA:
 
         final_by_win = _np.empty(n_win, dtype=_np.int64)
         final_by_win[sort_order] = hist[wlen_s - 1, _np.arange(n_win)]
+        # A flow ends where its last window does; an empty one where it entered.
+        finals[nz] = self._inv_a.take(final_by_win.take(flow_last.take(nz)) // self._ncols)
 
-        # Sparse accepting positions inside record ranges, in flow order
-        # (buffer positions are already flow-major), with the idempotent
-        # mask-pair run collapse restricted to within one window — a gap's
-        # clear summary may separate two windows of the same flow.
-        ncols = self._ncols
+        def gap_clears(want):
+            """Gap clear summaries, batched: for each clear group, its fires
+            as a cumulative count by window ("did it fire anywhere in
+            windows (a, b]" is then one subtraction), plus each flow's
+            first and last window.  Only the gaps of flows ``want`` marks
+            (all when None) are answered, in one vectorized pass over the
+            scan's gram-bit row; None when there is nothing to clear."""
+            gap_win = _np.flatnonzero(~first_of)  # windows preceded by a gap
+            if want is not None:
+                gap_win = gap_win[want.take(w_flow.take(gap_win))]
+            if not (runtime.has_clears and gap_win.size):
+                return None
+            gs = wf_start.take(gap_win)
+            gap_lo = gs + w_hi.take(gap_win - 1) + 1
+            gap_hi = gs + w_lo.take(gap_win) - 1
+            cnt_groups = []
+            for fired, and_mask in res.gap_fired_groups(gap_lo, gap_hi):
+                marks = _np.zeros(n_win + 1, dtype=_np.int64)
+                marks[gap_win[fired] + 1] = 1
+                cnt_groups.append((_np.cumsum(marks).tolist(), and_mask))
+            flow_first = _np.full(n_flows, -1, dtype=_np.int64)
+            flow_first[w_flow[first_of]] = _np.flatnonzero(first_of)
+            return cnt_groups, flow_first.tolist(), flow_last.tolist()
+
+        # Buffer positions are flow-major, so the walk start orders every
+        # recorded cell flow by flow; a window records from ``win_rec``.
+        return _Walk(
+            hist, win_rec.take(sort_order), wlen_s, wstart_s,
+            w_walk.take(sort_order), w_flow.take(sort_order), sort_order,
+            lengths, finals.tolist(), gap_clears,
+        )
+
+    # -- filter phase --------------------------------------------------------
+
+    def _filter(
+        self,
+        payloads: Sequence[bytes],
+        contexts: Sequence[FlowContext] | None,
+        walk: _Walk,
+    ) -> list[list[MatchEvent]]:
+        """Sparse accepting positions of either walk through the scalar ops.
+
+        Each flow's filter memory is threaded through its hits in payload
+        order, like the scalar feed (§III-B: the raw match queue may be
+        filtered after the DFA walk).  ``feed_batch`` replays every hit of
+        every flow and advances its context.
+
+        A whole fresh flow (``run_batch``) has a zero bit plane, and the
+        plane is read only by a test, a report, a register action or an
+        end-anchored decision.  So only a flow with a full-op hit, or whose
+        final state carries end-anchored decisions, gets a context, a
+        replay and a ``finish``; mask-only hits of any other flow cannot
+        change an alert, and its event list stays empty.
+        """
         results: list[list[MatchEvent]] = [[] for _ in payloads]
-        wins_list: list[int] = []
-        pos_list: list[int] = []
-        sids_list: list[int] = []
-        if self._thr_any < self.n_states * ncols:
-            stepcol = steps[:, None]
-            valid = (stepcol >= rec_s[None, :]) & (stepcol < wlen_s[None, :])
-            valid &= hist >= self._thr_any
-            hot_t, hot_i = _np.nonzero(valid)
-            if hot_t.size:
-                pos_abs = wstart_s[hot_i] + hot_t
-                reorder = _np.argsort(pos_abs, kind="stable")
-                hot_t = hot_t[reorder]
-                hot_i = hot_i[reorder]
-                pos_abs = pos_abs[reorder]
-                sids = hist[hot_t, hot_i]
-                wins = sort_order[hot_i]
-                keep = _np.empty(sids.size, dtype=bool)
-                keep[0] = True
-                _np.not_equal(sids[1:], sids[:-1], out=keep[1:])
-                keep[1:] |= sids[1:] >= self._thr_full
-                keep[1:] |= wins[1:] != wins[:-1]
-                wins_list = wins[keep].tolist()
-                pos_list = pos_abs[keep].tolist()
-                sids_list = sids[keep].tolist()
+        ncols = self._ncols
+        thr_full = self._thr_full
+        # Accepting cells, kept only inside their column's recorded rows.
+        rows, cols = _np.nonzero(walk.hist >= self._thr_any)
+        if rows.size:
+            keep = rows < walk.hi.take(cols)
+            if walk.lo is not None:
+                keep &= rows >= walk.lo.take(cols)
+            if not keep.all():
+                rows = rows[keep]
+                cols = cols[keep]
+        sids = walk.hist[rows, cols]
+        flow_of = walk.flow.take(cols)
+        want = None
+        if contexts is None:
+            want = _np.zeros(len(payloads), dtype=bool)
+            want[flow_of[sids >= thr_full]] = True
+            if self._end_q is not None:
+                want |= self._end_q.take(walk.finals) & (walk.lengths > 0)
+            flows = _np.flatnonzero(want).tolist()
+            if not flows:
+                return results
+            contexts = {f: self.new_context() for f in flows}
+            keep = want.take(flow_of)
+            rows = rows[keep]
+            cols = cols[keep]
+            sids = sids[keep]
+            flow_of = flow_of[keep]
+        else:
+            flows = range(len(payloads))  # an empty flow keeps its state
 
-        # Gap clear summaries, batched and lazy: a clear can only change a
-        # nonzero bit plane, and the plane is nonzero in some gap only if
-        # a flow entered the chunk with bits set or some window produced
-        # hits — so clean traffic never pays for them.  When triggered,
-        # every gap is answered in one vectorized pass over the scan's
-        # gram-bit row, and each group's fires become a cumulative count
-        # by window: "did this group fire anywhere in windows (a, b]" is
-        # then one subtraction, so the replay below never has to visit
-        # hitless windows at all.
-        cnt_groups: list[tuple[list[int], int]] | None = None
-        if runtime.has_clears and gap_win.size:
-            if wins_list or any(c.memory.bits for c in contexts):
-                gs = wf_start.take(gap_win)
-                gap_lo = gs + w_hi.take(gap_win - 1) + 1
-                gap_hi = gs + w_lo.take(gap_win) - 1
-                cnt_groups = []
-                for fired, and_mask in res.gap_fired_groups(gap_lo, gap_hi):
-                    marks = _np.zeros(n_win + 1, dtype=_np.int64)
-                    marks[gap_win[fired] + 1] = 1
-                    cnt_groups.append((_np.cumsum(marks).tolist(), and_mask))
+        hit_off: list[int] = []
+        hit_sid: list[int] = []
+        hit_run: Iterable[int] = repeat(0)  # runs matter only to gap clears
+        if rows.size:
+            # nonzero() walks row-major; reorder to payload order so ops
+            # replay exactly as the scalar feed.
+            order = _np.argsort(walk.key.take(cols) + rows)
+            rows = rows.take(order)
+            cols = cols.take(order)
+            sids = sids.take(order)
+            flow_of = flow_of.take(order)
+            runs = flow_of if walk.run is None else walk.run.take(cols)
+            # Run-collapse: a mask-pair op is idempotent, so a hit whose
+            # immediate predecessor in its run is the same state is a no-op
+            # and never reaches the Python loop.  A run is a flow in the
+            # lane walk and one window in the prefiltered walk, where a
+            # gap's clear summary may separate two windows of a flow.
+            keep = _np.empty(sids.size, dtype=bool)
+            keep[0] = True
+            _np.not_equal(sids[1:], sids[:-1], out=keep[1:])
+            keep[1:] |= sids[1:] >= thr_full
+            keep[1:] |= runs[1:] != runs[:-1]
+            flow_of = flow_of[keep]
+            hit_off = (walk.off.take(cols[keep]) + rows[keep]).tolist()
+            hit_sid = sids[keep].tolist()
+            if walk.gaps is not None:
+                hit_run = runs[keep].tolist()
+        per_flow = _np.bincount(flow_of, minlength=len(payloads)).tolist()
 
-        # Replay: per flow, hits in window order through the exact scalar
-        # ops, threading the bit plane locally like the classic path.  Gap
-        # clear summaries between consecutive hits commute (pure ANDs), so
-        # the group counts fold any stretch of hitless windows into at
-        # most one AND per group — and a zero bit plane skips even that.
+        # Gap clears can only change a nonzero bit plane, and the plane is
+        # nonzero in some gap only if a flow entered the chunk with bits
+        # set or some window produced hits, so clean traffic never pays.
+        cnt_groups = first_run = last_run = None
+        if walk.gaps is not None and (
+            hit_sid or (want is None and any(c.memory.bits for c in contexts))
+        ):
+            gaps = walk.gaps(want)
+            if gaps is not None:
+                cnt_groups, first_run, last_run = gaps
+
+        # Replay: per flow, hits in payload order through the exact scalar
+        # ops, threading the bit plane locally.  Gap clear summaries
+        # between consecutive hits commute (pure ANDs), so the group counts
+        # fold any stretch of hitless windows into at most one AND per
+        # group — and a zero bit plane skips even that.
         ops_by_rid = self._ops_by_rid
         engine_process = self.mfa.engine.process
-        thr_full = self._thr_full
-        inv = self._inv
-        flow_last_l = flow_last.tolist()
-        n_hits = len(wins_list)
-        hit = 0
-        win = 0
-        for f in range(n_flows):
-            length = int(lengths[f])
-            if length == 0:
-                continue
+        finish = self.mfa.finish
+        finals = walk.finals
+        hits = zip(hit_off, hit_sid, hit_run)
+        prev = 0
+        for f in flows:
             context = contexts[f]
             memory = context.memory
-            bits = memory.bits
-            base = context.offset - int(flow_starts[f])
-            append = results[f].append
-            last_win = flow_last_l[f]
-            prev = win  # flow's first window; never preceded by a gap
-            while hit < n_hits and wins_list[hit] <= last_win:
-                w = wins_list[hit]
-                if bits and cnt_groups is not None and w > prev:
+            n_hits = per_flow[f]
+            if n_hits or (cnt_groups and memory.bits):
+                bits = memory.bits
+                base = context.offset
+                append = results[f].append
+                if cnt_groups:
+                    prev = first_run[f]  # never preceded by a gap
+                for off, sid, run in islice(hits, n_hits):
+                    if cnt_groups:
+                        if bits and run > prev:
+                            for cnt, and_mask in cnt_groups:
+                                if cnt[run + 1] > cnt[prev + 1]:
+                                    bits &= and_mask
+                        prev = run
+                    ops = ops_by_rid[sid // ncols]
+                    if sid < thr_full:  # mask pair, inlined for the hot case
+                        bits = bits & ops[1] | ops[0]
+                    else:
+                        memory.bits = bits
+                        _apply_ops(ops, memory, base + off, engine_process, append)
+                        bits = memory.bits
+                if bits and cnt_groups and last_run[f] > prev:
                     for cnt, and_mask in cnt_groups:
-                        if cnt[w + 1] > cnt[prev + 1]:
+                        if cnt[last_run[f] + 1] > cnt[prev + 1]:
                             bits &= and_mask
-                prev = w
-                sid = sids_list[hit]
-                ops = ops_by_rid[sid // ncols]
-                if sid < thr_full:  # mask pair, inlined for the hot case
-                    bits = bits & ops[1] | ops[0]
-                else:
-                    memory.bits = bits
-                    _apply_ops(ops, memory, base + pos_list[hit], engine_process, append)
-                    bits = memory.bits
-                hit += 1
-            if bits and cnt_groups is not None and last_win > prev:
-                for cnt, and_mask in cnt_groups:
-                    if cnt[last_win + 1] > cnt[prev + 1]:
-                        bits &= and_mask
-            memory.bits = bits
-            context.state = inv[int(final_by_win[last_win]) // ncols]
-            context.offset += length
-            win = last_win + 1
+                memory.bits = bits
+            context.state = finals[f]
+            context.offset += len(payloads[f])
+            if want is not None:
+                results[f].extend(finish(context))
         return results
 
     # -- scalar fallback -----------------------------------------------------

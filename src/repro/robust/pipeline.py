@@ -415,7 +415,7 @@ def resilient_scan(
             if isinstance(result, Exception):
                 report.dispatch.flows_poisoned += 1
                 report.dispatch.errors.append((flow.key, f"engine error: {result}"))
-            else:
+            elif result:  # most flows have no events: build no generator for them
                 alerts.extend(FlowMatch(flow.key, event) for event in result)
 
     report.n_packets, report.assembler = ingest_flows(

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compile_mfa
-from repro.fastpath import FastPathMFA, build_fastpath
+from repro.automata.nfa import MatchEvent
+from repro.core import FlowContext, compile_mfa
+from repro.fastpath import FastPathMFA, PrefilterRuntime, build_fastpath
 
 RULES = [
     ".*alpha.*omega",
@@ -32,9 +33,23 @@ payloads_strategy = st.lists(
     max_size=8,
 )
 
+# End-anchored rules beside a distance rule and an anchored head.  A flow
+# whose only decision is an end-anchored test has no test, report or
+# register action mid-stream, yet its mask-only sets decide the alert.
+# The filler puts such a set and the end test that reads it in different
+# prefilter windows.
+END_RULES = [".*ab.*cd$", ".*alpha.*omega$", ".*start.{1,4}end0", "^HELO "]
+END_FRAGMENTS = FRAGMENTS + [b"ab", b"cd", b"-" * 120]
+
+
 @pytest.fixture(scope="module")
 def mfa():
     return compile_mfa(RULES)
+
+
+@pytest.fixture(scope="module")
+def end_mfa():
+    return compile_mfa(END_RULES)
 
 
 # Every batch/streaming property runs twice: once with the required-literal
@@ -86,6 +101,103 @@ class TestRunBatch:
         engine = FastPathMFA(mfa, segment_bytes=16, prefilter=prefilter)
         payload = b"HELO " + b"alpha " * 40 + b"filler" * 30 + b"omega" + b"abcxyz" * 20
         assert engine.run_batch([payload]) == [mfa.run(payload)]
+
+
+class TestReplayRule:
+    """``run_batch`` replays only flows whose filter ops can reach an
+    output: a full-op hit, or end-anchored decisions in the final state."""
+
+    @given(
+        payloads=st.lists(
+            st.lists(st.sampled_from(END_FRAGMENTS), max_size=16).map(b"".join),
+            max_size=8,
+        ),
+        segment=st.sampled_from([None, 1, 3, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_end_anchored_rules_match_scalar_run(
+        self, end_mfa, prefilter, payloads, segment
+    ):
+        engine = FastPathMFA(end_mfa, segment_bytes=segment, prefilter=prefilter)
+        assert engine.run_batch(payloads) == [end_mfa.run(p) for p in payloads]
+
+    @pytest.mark.parametrize("segment", [None, 1, 3, 64])
+    def test_mask_set_read_only_by_end_test(self, end_mfa, prefilter, segment):
+        engine = FastPathMFA(end_mfa, segment_bytes=segment, prefilter=prefilter)
+        payload = b"ab" + b"x" * 300 + b"cd"
+        assert engine.run_batch([payload]) == [[MatchEvent(303, 1)]]
+
+
+def op_kinds(mfa, payload) -> set[str]:
+    """Filter ops the scalar walk of ``payload`` reaches: "mask" for a
+    mask-pair state, "full" for a test, a report or a register action."""
+    kinds = set()
+    state = mfa.dfa.start
+    for byte in payload:
+        state = mfa.dfa.rows[state][byte]
+        ops = mfa._ops[state]
+        if ops is not None:
+            kinds.add("mask" if type(ops) is list else "full")
+    return kinds
+
+
+class TestFixedCost:
+    def test_whole_flows_without_full_ops_build_no_context(
+        self, mfa, prefilter, monkeypatch
+    ):
+        payloads = [
+            b"alpha " + bytes([65 + i % 26]) * (300 + i) + b" abc\nzz"
+            for i in range(64)
+        ]
+        assert set().union(*(op_kinds(mfa, p) for p in payloads)) == {"mask"}
+        want = [mfa.run(p) for p in payloads]
+        engine = FastPathMFA(mfa, prefilter=prefilter)
+        built = []
+        init = FlowContext.__init__
+
+        def counting_init(context, owner):
+            built.append(owner)
+            init(context, owner)
+
+        monkeypatch.setattr(FlowContext, "__init__", counting_init)
+        assert engine.run_batch(payloads) == want
+        assert built == []
+
+    def test_one_skim_per_batch_call(self, mfa, monkeypatch):
+        # A density-fallback batch goes from its one skim to the lane walk.
+        engine = build_fastpath(mfa)
+        assert engine.prefilter_active
+        skims, lane_walks = [], []
+        scan = PrefilterRuntime.scan
+        walk_lanes = FastPathMFA._walk_lanes
+        monkeypatch.setattr(
+            PrefilterRuntime, "scan", lambda self, buf: skims.append(1) or scan(self, buf)
+        )
+        monkeypatch.setattr(
+            FastPathMFA,
+            "_walk_lanes",
+            lambda self, *args: lane_walks.append(1) or walk_lanes(self, *args),
+        )
+        sparse = [b"HELO " + b"-" * 200 + b" alpha" for _ in range(64)]
+        dense = [b"alpha omega " * 30 for _ in range(64)]
+        for payloads, fallback in ((sparse, False), (dense, True)):
+            want = [mfa.run(p) for p in payloads]
+            for batched in ("run_batch", "feed_batch"):
+                skims.clear()
+                lane_walks.clear()
+                if batched == "run_batch":
+                    got = engine.run_batch(payloads)
+                else:
+                    contexts = [engine.new_context() for _ in payloads]
+                    got = [
+                        events + list(engine.finish(context))
+                        for events, context in zip(
+                            engine.feed_batch(contexts, payloads), contexts
+                        )
+                    ]
+                assert got == want
+                assert len(skims) == 1
+                assert len(lane_walks) == fallback
 
 
 class TestStreaming:
