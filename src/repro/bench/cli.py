@@ -34,23 +34,16 @@ Examples::
     mfa-bench rules R32 --prune   # drop redundant rules, prove equivalence
     mfa-bench rules R32 --plan --shards 4  # contiguous vs interaction plan
 
-``lint`` exits non-zero when any error-severity finding survives
-(``--fail-on warning`` tightens the gate to warnings as well);
-``audit`` synthesizes adversarial worst-case witness traces
-(prefilter-evading streams, filter bit-churn maximizers), replays each
-through the real scalar and fastpath engines, and exits non-zero on any
-error-severity ``AV`` finding — a crashed audit or a witness whose
-replay diverged from the reference match stream;
-``verify`` exits non-zero on any stream divergence from the oracle;
-``prove`` exits non-zero on any error-severity ``EQ`` finding — a
-replay-confirmed divergence with its shortest distinguishing input, or a
-proof that could not run at all.  A budget-bounded proof (``EQ110``,
-``--budget``) is a warning, not a failure;
-``rules`` runs the cross-rule interaction analyzer (duplicate /
-subsumption / shadowing proofs with replay-confirmed witnesses, RS1xx)
-and honours the same ``--fail-on`` gate as ``lint``; ``--prune`` also
-exits non-zero when the pruned set fails the equivalence prover or
-diverges from the unpruned stream on any tracked trace.
+The analyzer verbs ``lint``, ``rules``, ``audit`` and ``prove`` share one
+exit rule: 1 when any target's report holds a finding at or above
+``--fail-on`` (``error`` by default, ``warning`` to gate on warnings
+too), else 0; 2 on bad usage.  A target whose analysis crashed, or a
+bundle that does not load, is one ERROR finding under the verb's crash
+code (lint ``AU100``, rules ``RS100``, audit ``AV100``, prove ``EQ100``),
+never a traceback.  ``rules --prune`` also exits 1 when the pruned set
+fails the equivalence prover or diverges from the unpruned stream on a
+tracked trace, and ``verify`` exits 1 on any stream divergence from the
+oracle.
 
 Compiled MFAs are cached on disk between runs of the resilient commands
 and ``serve`` (``~/.cache/repro-mfa``, override with ``REPRO_CACHE_DIR``);
@@ -356,6 +349,47 @@ def _cmd_scan(
     return _scan_and_print(engine, pcap_path, describe=False)
 
 
+class _Verb:
+    """An analyzer verb, as :func:`_run_verb` runs it.
+
+    ``run_set(name, args)`` runs a shipped rule set and ``run_bundle(path,
+    args)`` a bundle file (``None``: rule sets only).  ``render(name,
+    result)`` gives the result's report, which ``--fail-on`` reads, its
+    JSON entry and its text lines.
+    """
+
+    escort = ""  # the ESCORTS entry whose crash code files a crash
+    run_bundle = None
+    reads_patterns = False  # --patterns names the set a bundle came from
+    writes_corpus = False  # --out writes the JSON document
+
+    def crashed(self, report):
+        """The result of a runner that raised: its one crash finding."""
+        return report
+
+    def passed(self, result) -> bool:
+        """A check of the verb's own beside ``--fail-on``."""
+        return True
+
+
+def _headed(head: str, report, lines) -> list[str]:
+    """``head`` and the report's finding counts, then ``lines`` indented."""
+    counts = report.counts()
+    headline = (
+        f"{head} {counts['error']} error(s), {counts['warning']} "
+        f"warning(s), {counts['info']} info"
+    )
+    return [headline] + [f"  {line}" for line in lines]
+
+
+def _load_bundle(path: str):
+    from pathlib import Path
+
+    from ..core import loads_mfa
+
+    return loads_mfa(Path(path).read_bytes())
+
+
 def _lint_one_set(set_name: str):
     """Static-analysis report of one shipped rule set: triage + cross-rule
     analysis + engine audit."""
@@ -389,57 +423,21 @@ def _lint_one_set(set_name: str):
     return report
 
 
-def _report_fails(report, fail_on: str) -> bool:
-    """Gate decision for one report under the ``--fail-on`` threshold."""
-    if report.has_errors:
-        return True
-    return fail_on == "warning" and bool(report.warnings)
+class _Lint(_Verb):
+    """The static verifier over rule sets and serialized bundles."""
 
+    escort = "audit"
 
-def _cmd_lint(
-    target: str | None, lint_all: bool, json_out: bool, fail_on: str = "error"
-) -> int:
-    """Run the static verifier over rule sets and/or bundle files."""
-    import json
-    from pathlib import Path
+    def run_set(self, name, args):
+        return _lint_one_set(name)
 
-    from ..analyze import analyze_bundle
-    from .harness import all_set_names
+    def run_bundle(self, path, args):
+        from ..analyze import analyze_bundle
 
-    if lint_all:
-        targets = list(all_set_names())
-    elif target is None:
-        print("lint needs a rule-set name, a bundle path, or --all")
-        return 2
-    else:
-        targets = [target]
+        return analyze_bundle(path)
 
-    reports = {}
-    for name in targets:
-        if name in all_set_names():
-            reports[name] = _lint_one_set(name)
-        elif Path(name).exists():
-            reports[name] = analyze_bundle(name)
-        else:
-            print(f"unknown target {name!r}: not a rule set {all_set_names()} "
-                  f"and not a file")
-            return 2
-
-    failed = False
-    if json_out:
-        print(json.dumps({name: r.to_dict() for name, r in reports.items()},
-                         indent=2, sort_keys=True))
-        failed = any(_report_fails(r, fail_on) for r in reports.values())
-    else:
-        for name, report in reports.items():
-            counts = report.counts()
-            print(f"{name}: {counts['error']} error(s), {counts['warning']} "
-                  f"warning(s), {counts['info']} info")
-            for line in report.describe():
-                print(f"  {line}")
-            if _report_fails(report, fail_on):
-                failed = True
-    return 1 if failed else 0
+    def render(self, name, report):
+        return report, report.to_dict(), _headed(f"{name}:", report, report.describe())
 
 
 def _prune_and_verify(set_name: str, patterns, result) -> dict:
@@ -482,276 +480,208 @@ def _prune_and_verify(set_name: str, patterns, result) -> dict:
     return doc
 
 
-def _cmd_rules(
-    target: str | None,
-    rules_all: bool,
-    json_out: bool,
-    prune: bool,
-    plan: bool,
-    shards: int,
-    fail_on: str = "error",
-) -> int:
-    """Cross-rule interaction analysis over shipped rule sets."""
-    import json
+class _Rules(_Verb):
+    """Cross-rule analysis over rule sets.  A result is the
+    :class:`~repro.analyze.RulesetResult` and the JSON sections ``--plan``
+    (both shard plans) and ``--prune`` (the proved prune) add to its entry."""
 
-    from ..analyze import analyze_ruleset
-    from ..analyze.ruleset import contiguous_plan, plan_shards
-    from .harness import all_set_names, patterns_for
+    escort = "ruleset"
 
-    if rules_all:
-        targets = list(all_set_names())
-    elif target is None:
-        print("rules needs a rule-set name or --all")
-        return 2
-    elif target not in all_set_names():
-        print(f"unknown rule set {target!r}; have {all_set_names()}")
-        return 2
-    else:
-        targets = [target]
+    def run_set(self, name, args):
+        from ..analyze import analyze_ruleset
+        from ..analyze.ruleset import contiguous_plan, plan_shards
+        from .harness import patterns_for
 
-    failed = False
-    docs: dict[str, dict] = {}
-    for name in targets:
         patterns = list(patterns_for(name))
         result = analyze_ruleset(patterns)
-        doc = result.to_dict()
-        if plan:
-            contig = contiguous_plan(patterns, shards)
-            inter = plan_shards(patterns, shards)
-            doc["plans"] = {
-                "shards": shards,
-                "contiguous": contig.to_dict(),
-                "interaction": inter.to_dict(),
+        sections: dict = {}
+        if args.plan:
+            sections["plans"] = {
+                "shards": args.shards,
+                "contiguous": contiguous_plan(patterns, args.shards).to_dict(),
+                "interaction": plan_shards(patterns, args.shards).to_dict(),
             }
-        if prune:
-            doc["prune"] = _prune_and_verify(name, patterns, result)
-            if not doc["prune"]["ok"]:
-                failed = True
-        docs[name] = doc
-        if _report_fails(result.report, fail_on):
-            failed = True
-        if json_out:
-            continue
-        print(f"== {name} ==")
-        for line in result.report.describe():
-            print(f"  {line}")
-        if plan:
-            contig_peak = doc["plans"]["contiguous"]["peak"]
-            inter_peak = doc["plans"]["interaction"]["peak"]
-            print(
-                f"  shard plan ({shards} shards): contiguous predicted peak "
-                f"{contig_peak}, interaction predicted peak {inter_peak}"
+        if args.prune:
+            sections["prune"] = _prune_and_verify(name, patterns, result)
+        return result, sections
+
+    def crashed(self, report):
+        from ..analyze import RulesetResult
+
+        return RulesetResult((), report), {}
+
+    def passed(self, outcome) -> bool:
+        return outcome[1].get("prune", {"ok": True})["ok"]
+
+    def render(self, name, outcome):
+        result, sections = outcome
+        lines = [f"== {name} =="] + [f"  {line}" for line in result.report.describe()]
+        if "plans" in sections:
+            plans = sections["plans"]
+            lines.append(
+                f"  shard plan ({plans['shards']} shards): contiguous predicted peak "
+                f"{plans['contiguous']['peak']}, interaction predicted peak "
+                f"{plans['interaction']['peak']}"
             )
-        if prune:
-            p = doc["prune"]
-            verdict = "ok" if p["ok"] else "FAILED"
-            print(
-                f"  prune: {p['rules_in']} -> {p['rules_kept']} rule(s), "
-                f"{verdict}"
-                + (
-                    f" ({p['traces']['flows']} trace flow(s), "
-                    f"{p['traces']['stream_diffs']} stream diff(s))"
-                    if "traces" in p
-                    else ""
+        if "prune" in sections:
+            p = sections["prune"]
+            line = f"  prune: {p['rules_in']} -> {p['rules_kept']} rule(s), "
+            line += "ok" if p["ok"] else "FAILED"
+            if "traces" in p:
+                traces = p["traces"]
+                line += (
+                    f" ({traces['flows']} trace flow(s), "
+                    f"{traces['stream_diffs']} stream diff(s))"
                 )
-            )
-    if json_out:
-        print(json.dumps(docs, indent=2, sort_keys=True))
-    return 1 if failed else 0
+            lines.append(line)
+        return result.report, {**result.to_dict(), **sections}, lines
 
 
 def _audit_one_set(set_name: str, replay: bool):
     """Adversarial worst-case audit of one shipped rule set (dense compile)."""
-    from ..analyze import AnalysisReport, analyze_adversary
-    from ..analyze.report import ERROR
+    from ..analyze import analyze_adversary
     from ..core import compile_mfa
     from .harness import STATE_BUDGET, patterns_for
 
-    try:
-        mfa = compile_mfa(patterns_for(set_name), state_budget=STATE_BUDGET)
-    except Exception as exc:  # noqa: BLE001 - an uncompilable set is a finding
-        report = AnalysisReport()
-        report.add(
-            "AV100",
-            ERROR,
-            "adversary",
-            f"cannot compile {set_name} under budget {STATE_BUDGET}: "
-            f"{type(exc).__name__}: {exc}",
-        )
-        from ..analyze.adversary import AdversaryResult
-
-        return AdversaryResult(report, [], [])
+    mfa = compile_mfa(patterns_for(set_name), state_budget=STATE_BUDGET)
     return analyze_adversary(mfa, replay=replay)
 
 
-def _cmd_audit(
-    target: str | None,
-    audit_all: bool,
-    json_out: bool,
-    out_path: str | None,
-    replay: bool,
-) -> int:
-    """Worst-case cost audit over rule sets and/or bundle files."""
-    import json
-    from pathlib import Path
+class _Audit(_Verb):
+    """The worst-case cost audit over rule sets and serialized bundles."""
 
-    from ..analyze import analyze_engine_adversary
-    from ..core import loads_mfa
-    from .harness import all_set_names
+    escort = "adversary"
+    # The witness corpus artifact CI uploads: payloads in hex with their
+    # predicted bounds and (when replayed) measured slowdowns.
+    writes_corpus = True
 
-    if audit_all:
-        targets = list(all_set_names())
-    elif target is None:
-        print("audit needs a rule-set name, a bundle path, or --all")
-        return 2
-    else:
-        targets = [target]
+    def run_set(self, name, args):
+        return _audit_one_set(name, not args.no_replay)
 
-    results = {}
-    for name in targets:
-        if name in all_set_names():
-            results[name] = _audit_one_set(name, replay)
-        elif Path(name).exists():
-            engine = loads_mfa(Path(name).read_bytes())
-            results[name] = analyze_engine_adversary(engine, replay=replay)
-        else:
-            print(f"unknown target {name!r}: not a rule set {all_set_names()} "
-                  f"and not a file")
-            return 2
+    def run_bundle(self, path, args):
+        from ..analyze import analyze_engine_adversary
 
-    doc = {name: result.to_dict() for name, result in results.items()}
-    if out_path:
-        # The witness corpus artifact CI uploads: payloads in hex with
-        # their predicted bounds and (when replayed) measured slowdowns.
-        with open(out_path, "w") as handle:
-            handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"witness corpus: {out_path}")
-    if json_out:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for name, result in results.items():
-            counts = result.report.counts()
-            print(f"{name}: {counts['error']} error(s), {counts['warning']} "
-                  f"warning(s), {counts['info']} info")
-            for line in result.describe().splitlines():
-                print(f"  {line}")
-    return 1 if any(r.report.has_errors for r in results.values()) else 0
+        return analyze_engine_adversary(_load_bundle(path), replay=not args.no_replay)
+
+    def crashed(self, report):
+        from ..analyze import AdversaryResult
+
+        return AdversaryResult(report)
+
+    def render(self, name, result):
+        lines = _headed(f"{name}:", result.report, result.describe().splitlines())
+        return result.report, result.to_dict(), lines
 
 
-def _prove_one_set(set_name: str, budget: int, jobs: int):
-    """Per-pattern equivalence proofs of one shipped rule set.
+class _Prove(_Verb):
+    """Equivalence proofs: a rule set pattern by pattern, a bundle whole."""
 
-    Each pattern is compiled alone and proven against its own reference
-    automaton — the per-pattern shape the paper's theorem is stated over,
-    and the one that stays feasible even when the whole set's
-    un-decomposed automaton explodes (B217p).
-    """
-    from ..analyze import prove_patterns
-    from .harness import STATE_BUDGET, patterns_for
+    escort = "prove"
+    reads_patterns = True
 
-    return prove_patterns(
-        patterns_for(set_name),
-        state_budget=budget,
-        dfa_budget=STATE_BUDGET,
-        jobs=jobs,
-    )
+    def run_set(self, name, args):
+        """Per-pattern proofs, the shape the paper's theorem is stated over
+        (see :func:`~repro.analyze.prove_patterns`)."""
+        from ..analyze import DEFAULT_PRODUCT_BUDGET, prove_patterns
+        from .harness import STATE_BUDGET, patterns_for
 
-
-def _prove_bundle(path: str, patterns_set: str | None, budget: int):
-    """Whole-artifact equivalence proof of a serialized bundle.
-
-    Bundles carry no original patterns, so the rule set they were
-    compiled from must be named with ``--patterns``.
-    """
-    from pathlib import Path
-
-    from ..analyze import AnalysisReport, analyze_engine_equivalence
-    from ..analyze.report import ERROR
-    from ..core import loads_mfa
-    from .harness import patterns_for
-
-    report = AnalysisReport()
-    if patterns_set is None:
-        report.add(
-            "EQ100",
-            ERROR,
-            "equivalence",
-            "a bundle carries no original patterns; pass --patterns <set> "
-            "naming the rule set it was compiled from",
-            path,
+        return prove_patterns(
+            patterns_for(name),
+            state_budget=args.budget or DEFAULT_PRODUCT_BUDGET,
+            dfa_budget=STATE_BUDGET,
+            jobs=args.jobs,
         )
-        return report
-    try:
-        engine = loads_mfa(Path(path).read_bytes())
-    except Exception as exc:  # noqa: BLE001 - an unloadable artifact is a finding
-        report.add(
-            "EQ100",
-            ERROR,
-            "equivalence",
-            f"cannot load bundle: {type(exc).__name__}: {exc}",
-            path,
-        )
-        return report
-    return analyze_engine_equivalence(
-        engine, patterns_for(patterns_set), report, state_budget=budget
-    )
 
+    def run_bundle(self, path, args):
+        """A whole-artifact proof.  Bundles carry no original patterns, so
+        ``--patterns`` must name the rule set one was compiled from."""
+        from ..analyze import DEFAULT_PRODUCT_BUDGET, AnalysisReport, analyze_engine_equivalence
+        from ..analyze.report import ERROR
+        from .harness import patterns_for
 
-def _cmd_prove(
-    target: str | None,
-    prove_all: bool,
-    json_out: bool,
-    budget: int,
-    jobs: int,
-    patterns_set: str | None,
-) -> int:
-    """Prove rule sets pattern-by-pattern and/or bundle files whole."""
-    import json
-    from pathlib import Path
-
-    from .harness import all_set_names
-
-    if prove_all:
-        targets = list(all_set_names())
-    elif target is None:
-        print("prove needs a rule-set name, a bundle path, or --all")
-        return 2
-    else:
-        targets = [target]
-    if patterns_set is not None and patterns_set not in all_set_names():
-        print(f"unknown --patterns set {patterns_set!r}; have {all_set_names()}")
-        return 2
-
-    reports = {}
-    for name in targets:
-        if name in all_set_names():
-            reports[name] = _prove_one_set(name, budget, jobs)
-        elif Path(name).exists():
-            reports[name] = _prove_bundle(name, patterns_set, budget)
-        else:
-            print(f"unknown target {name!r}: not a rule set {all_set_names()} "
-                  f"and not a file")
-            return 2
-
-    failed = False
-    if json_out:
-        print(json.dumps({name: r.to_dict() for name, r in reports.items()},
-                         indent=2, sort_keys=True))
-        failed = any(r.has_errors for r in reports.values())
-    else:
-        for name, report in reports.items():
-            counts = report.counts()
-            bounded = sum(1 for f in report if f.code == "EQ110")
-            verdict = "FAILED" if report.has_errors else (
-                f"bounded ({bounded} proof(s) hit the budget)" if bounded
-                else "proved"
+        if args.patterns is None:
+            report = AnalysisReport()
+            report.add(
+                "EQ100",
+                ERROR,
+                "equivalence",
+                "a bundle carries no original patterns; pass --patterns <set> "
+                "naming the rule set it was compiled from",
+                path,
             )
-            print(f"{name}: {verdict} — {counts['error']} error(s), "
-                  f"{counts['warning']} warning(s), {counts['info']} info")
-            for finding in report.errors + report.warnings:
-                print(f"  {finding.describe()}")
-            if report.has_errors:
-                failed = True
+            return report
+        return analyze_engine_equivalence(
+            _load_bundle(path),
+            patterns_for(args.patterns),
+            state_budget=args.budget or DEFAULT_PRODUCT_BUDGET,
+        )
+
+    def render(self, name, report):
+        bounded = sum(1 for f in report if f.code == "EQ110")
+        verdict = "FAILED" if report.has_errors else (
+            f"bounded ({bounded} proof(s) hit the budget)" if bounded
+            else "proved"
+        )
+        shown = [finding.describe() for finding in report.errors + report.warnings]
+        return report, report.to_dict(), _headed(f"{name}: {verdict} —", report, shown)
+
+
+_VERBS = {"lint": _Lint(), "rules": _Rules(), "audit": _Audit(), "prove": _Prove()}
+
+
+def _run_verb(verb: _Verb, args) -> int:
+    """Run one analyzer verb: resolve its targets, run each inside the one
+    ``try`` (a crash, an unloadable bundle included, is one ERROR finding
+    under the code :data:`~repro.analyze.ESCORTS` gives the verb's
+    escort), print every target's lines or one JSON document, and apply
+    the exit rule in the module docstring."""
+    import json
+    from pathlib import Path
+
+    from ..analyze import ESCORTS, AnalysisReport
+    from ..analyze.report import ERROR, WARNING
+    from .harness import all_set_names
+
+    sets = all_set_names()
+    bundles = verb.run_bundle is not None
+    target = args.set_name
+    if not args.all and target is None:
+        takes = "a rule-set name, a bundle path," if bundles else "a rule-set name"
+        print(f"{args.command} needs {takes} or --all")
+        return 2
+    if verb.reads_patterns and args.patterns not in (None, *sets):
+        print(f"unknown --patterns set {args.patterns!r}; have {sets}")
+        return 2
+    if not args.all and target not in sets and not (bundles and Path(target).exists()):
+        if bundles:
+            print(f"unknown target {target!r}: not a rule set {sets} and not a file")
+        else:
+            print(f"unknown rule set {target!r}; have {sets}")
+        return 2
+
+    gated = (ERROR, WARNING) if args.fail_on == "warning" else (ERROR,)
+    entries: dict = {}
+    lines: list[str] = []
+    failed = False
+    for name in sets if args.all else [target]:
+        try:
+            result = (verb.run_set if name in sets else verb.run_bundle)(name, args)
+        except Exception as exc:  # noqa: BLE001 - a crashed target is a finding
+            report = AnalysisReport()
+            message = f"{verb.escort} crashed: {type(exc).__name__}: {exc}"
+            report.add(ESCORTS[verb.escort][1], ERROR, verb.escort, message)
+            result = verb.crashed(report)
+        report, entries[name], text = verb.render(name, result)
+        lines += text
+        if any(finding.severity in gated for finding in report) or not verb.passed(result):
+            failed = True
+
+    doc = json.dumps(entries, indent=2, sort_keys=True)
+    if verb.writes_corpus and args.out:
+        with open(args.out, "w") as handle:
+            handle.write(doc + "\n")
+        print(f"witness corpus: {args.out}")
+    print(doc if args.json else "\n".join(lines))
     return 1 if failed else 0
 
 
@@ -778,6 +708,15 @@ def _cmd_verify(set_name: str) -> int:
               f"{outcome.reference_engine}: {status}")
         failed = failed or not outcome.equal
     return 1 if failed else 0
+
+
+# The counts each command reads: one below 1 is refused before any work.
+_COUNTS = {
+    "compile": ("shards", "jobs"),
+    "serve": ("shards", "workers"),
+    "rules": ("shards",),
+    "prove": ("jobs", "budget"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -817,8 +756,8 @@ def main(argv: list[str] | None = None) -> int:
         "--fail-on",
         choices=("error", "warning"),
         default="error",
-        help="for 'lint'/'rules': exit non-zero on findings at or above "
-        "this severity (default: error)",
+        help="for 'lint'/'rules'/'audit'/'prove': exit non-zero on findings "
+        "at or above this severity (default: error)",
     )
     parser.add_argument(
         "--prune",
@@ -876,7 +815,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shards",
         type=int,
-        default=1,
+        default=None,
         help="for 'compile': also time the sharded parallel compiler "
         "(rule set split into N shards); for 'serve': shard count of the "
         "daemon's engine (per-shard reload caching); for 'rules --plan': "
@@ -938,7 +877,21 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     from .harness import all_set_names, write_table
 
-    if args.command == "table5":
+    if args.command in ("compile", "scan", "rcompile", "rscan", "verify", "serve"):
+        if not args.set_name:
+            parser.error(f"{args.command} needs a pattern set name")
+        if args.set_name not in all_set_names():
+            parser.error(f"unknown set {args.set_name!r}; have {all_set_names()}")
+    counts = _COUNTS.get(args.command, ())
+    if any(getattr(args, count) is not None and getattr(args, count) < 1 for count in counts):
+        flags = " and ".join(f"--{count}" for count in counts)
+        parser.error(f"{args.command} needs {flags} of at least 1")
+    if args.shards is None:  # absent: 4 shards for the 'rules' plans, 1 elsewhere
+        args.shards = 4 if args.command == "rules" else 1
+
+    if args.command in _VERBS:
+        return _run_verb(_VERBS[args.command], args)
+    elif args.command == "table5":
         from .tables import table5_rows
 
         write_table("table5.txt", table5_rows())
@@ -966,50 +919,9 @@ def main(argv: list[str] | None = None) -> int:
         from .report import generate_all
 
         generate_all()
-    elif args.command == "lint":
-        return _cmd_lint(args.set_name, args.all, args.json, args.fail_on)
-    elif args.command == "rules":
-        return _cmd_rules(
-            args.set_name,
-            args.all,
-            args.json,
-            args.prune,
-            args.plan,
-            args.shards if args.shards > 1 else 4,
-            args.fail_on,
-        )
-    elif args.command == "audit":
-        return _cmd_audit(
-            args.set_name,
-            args.all,
-            args.json,
-            args.out,
-            not args.no_replay,
-        )
-    elif args.command == "prove":
-        from ..analyze import DEFAULT_PRODUCT_BUDGET
-
-        return _cmd_prove(
-            args.set_name,
-            args.all,
-            args.json,
-            args.budget if args.budget is not None else DEFAULT_PRODUCT_BUDGET,
-            args.jobs,
-            args.patterns,
-        )
     elif args.command == "verify":
-        if not args.set_name:
-            parser.error("verify needs a pattern set name")
-        if args.set_name not in all_set_names():
-            parser.error(f"unknown set {args.set_name!r}; have {all_set_names()}")
         return _cmd_verify(args.set_name)
     elif args.command == "serve":
-        if not args.set_name:
-            parser.error("serve needs a pattern set name")
-        if args.set_name not in all_set_names():
-            parser.error(f"unknown set {args.set_name!r}; have {all_set_names()}")
-        if args.shards < 1 or args.workers < 1:
-            parser.error("serve needs --shards and --workers of at least 1")
         return _cmd_serve(
             args.set_name,
             args.pcap,
@@ -1022,29 +934,21 @@ def main(argv: list[str] | None = None) -> int:
             args.prefilter,
             args.compress,
         )
-    elif args.command in ("compile", "scan", "rcompile", "rscan"):
-        if not args.set_name:
-            parser.error(f"{args.command} needs a pattern set name")
-        if args.set_name not in all_set_names():
-            parser.error(f"unknown set {args.set_name!r}; have {all_set_names()}")
-        if args.command == "compile":
-            if args.shards < 1 or args.jobs < 1:
-                parser.error("compile needs --shards and --jobs of at least 1")
-            _cmd_compile(
-                args.set_name, shards=args.shards, jobs=args.jobs,
-                compress=args.compress,
+    elif args.command == "compile":
+        _cmd_compile(
+            args.set_name, shards=args.shards, jobs=args.jobs, compress=args.compress
+        )
+    elif args.command == "rcompile":
+        return _cmd_rcompile(args.set_name)
+    elif args.command in ("scan", "rscan"):
+        if not args.pcap:
+            parser.error(f"{args.command} needs a pcap file")
+        if args.command == "scan":
+            return _cmd_scan(
+                args.set_name, args.pcap, args.engine, args.prefilter,
+                args.compress,
             )
-        elif args.command == "rcompile":
-            return _cmd_rcompile(args.set_name)
-        else:
-            if not args.pcap:
-                parser.error(f"{args.command} needs a pcap file")
-            if args.command == "scan":
-                return _cmd_scan(
-                    args.set_name, args.pcap, args.engine, args.prefilter,
-                    args.compress,
-                )
-            return _cmd_rscan(args.set_name, args.pcap, args.engine, args.prefilter)
+        return _cmd_rscan(args.set_name, args.pcap, args.engine, args.prefilter)
     return 0
 
 
